@@ -207,6 +207,9 @@ PrunerPolicy::tune(const Workload& workload, const TuneOptions& opts)
         async_trainer->bindObs(tracer, &clock, &run_metrics);
     }
 
+    // Kept across saves: each save formats only the records measured since
+    // the previous one.
+    std::vector<std::string> ckpt_record_lines;
     const auto& constants = opts.constants;
     for (int round = start_round; round < opts.rounds; ++round) {
         obs::ScopedSpan round_span(tracer, obs::TraceTrack::Main, &clock,
@@ -498,8 +501,8 @@ PrunerPolicy::tune(const Workload& workload, const TuneOptions& opts)
                 src.curve = &result.curve;
                 src.round_stats = &round_stats.rounds();
                 src.metrics = &run_metrics;
-                saveCheckpoint(opts.checkpoint_path, buildCheckpoint(src),
-                               &run_metrics);
+                saveRoundCheckpoint(opts.checkpoint_path, src,
+                                    &ckpt_record_lines, &run_metrics);
             }
         }
     }

@@ -1,10 +1,11 @@
 #include "replay/checkpoint.hpp"
 
 #include <bit>
+#include <charconv>
+#include <concepts>
 #include <cstdio>
 #include <fstream>
-#include <locale>
-#include <sstream>
+#include <string_view>
 
 #include "core/moa.hpp"
 #include "replay/session_log.hpp"
@@ -46,15 +47,16 @@ hashF64(uint64_t h, double v)
     return hashCombine(h, std::bit_cast<uint64_t>(v));
 }
 
-/** Space-separated token reader over one payload line. Throws FatalError
- *  (via the session_log hex decoders / PRUNER_FATAL) on malformed input,
- *  which loadCheckpoint turns into quarantine-and-start-cold. */
+/** Space-separated token reader over one payload line; tokens are views
+ *  into the line. Throws FatalError (via the session_log hex decoders /
+ *  PRUNER_FATAL) on malformed input, which loadCheckpoint turns into
+ *  quarantine-and-start-cold. */
 class Tok
 {
   public:
-    Tok(const std::string& line, size_t start) : line_(line), pos_(start) {}
+    Tok(std::string_view line, size_t start) : line_(line), pos_(start) {}
 
-    std::string
+    std::string_view
     next()
     {
         while (pos_ < line_.size() && line_[pos_] == ' ') {
@@ -76,7 +78,7 @@ class Tok
     uint64_t
     dec()
     {
-        const std::string t = next();
+        const std::string_view t = next();
         uint64_t value = 0;
         for (const char c : t) {
             if (c < '0' || c > '9') {
@@ -103,17 +105,73 @@ class Tok
     }
 
   private:
-    const std::string& line_;
+    std::string_view line_;
     size_t pos_;
 };
 
-void
-putRng(std::ostream& out, const RngState& rng)
+/** 16 lowercase hex digits of a value / of a double's bit pattern. */
+struct Hex
 {
-    out << hexU64(rng.s[0]) << " " << hexU64(rng.s[1]) << " "
-        << hexU64(rng.s[2]) << " " << hexU64(rng.s[3]) << " "
+    uint64_t value;
+};
+struct Bits
+{
+    double value;
+};
+
+/** Append-only text builder in the ostream shape the v1 writers were
+ *  written in, without the stream: integers print as a classic-locale
+ *  ostream prints them (std::to_chars), Hex/Bits through appendHex16. */
+struct Writer
+{
+    std::string text;
+
+    Writer&
+    operator<<(std::string_view s)
+    {
+        text.append(s);
+        return *this;
+    }
+
+    Writer&
+    operator<<(char c)
+    {
+        text.push_back(c);
+        return *this;
+    }
+
+    template <std::integral T>
+    Writer&
+    operator<<(T value)
+    {
+        char buf[24];
+        const auto res = std::to_chars(buf, buf + sizeof(buf), value);
+        text.append(buf, res.ptr);
+        return *this;
+    }
+
+    Writer&
+    operator<<(Hex h)
+    {
+        appendHex16(text, h.value);
+        return *this;
+    }
+
+    Writer&
+    operator<<(Bits b)
+    {
+        appendHex16(text, std::bit_cast<uint64_t>(b.value));
+        return *this;
+    }
+};
+
+void
+putRng(Writer& out, const RngState& rng)
+{
+    out << Hex{rng.s[0]} << " " << Hex{rng.s[1]} << " "
+        << Hex{rng.s[2]} << " " << Hex{rng.s[3]} << " "
         << (rng.has_cached_normal ? 1 : 0) << " "
-        << doubleBits(rng.cached_normal);
+        << Bits{rng.cached_normal};
 }
 
 RngState
@@ -131,20 +189,20 @@ getRng(Tok& in)
 /** Shared by the checkpoint payload and resultSignature: one canonical
  *  line per round (all doubles as bit patterns). */
 void
-putRoundStats(std::ostream& out, const obs::RoundStats& r)
+putRoundStats(Writer& out, const obs::RoundStats& r)
 {
     out << r.round << " " << r.tasks.size();
     for (const size_t t : r.tasks) {
         out << " " << t;
     }
-    out << " " << doubleBits(r.begin_time_s) << " "
-        << doubleBits(r.end_time_s) << " " << doubleBits(r.exploration_s)
-        << " " << doubleBits(r.training_s) << " "
-        << doubleBits(r.measurement_s) << " " << doubleBits(r.compile_s)
-        << " " << doubleBits(r.other_s) << " " << r.drafted << " "
+    out << " " << Bits{r.begin_time_s} << " "
+        << Bits{r.end_time_s} << " " << Bits{r.exploration_s}
+        << " " << Bits{r.training_s} << " "
+        << Bits{r.measurement_s} << " " << Bits{r.compile_s}
+        << " " << Bits{r.other_s} << " " << r.drafted << " "
         << r.measured << " " << r.trials << " " << r.cache_hits << " "
         << r.simulated_trials << " " << r.failed_trials << " "
-        << r.injected_faults << " " << doubleBits(r.best_latency);
+        << r.injected_faults << " " << Bits{r.best_latency};
 }
 
 obs::RoundStats
@@ -176,12 +234,32 @@ getRoundStats(Tok& in)
 }
 
 void
-putDoubles(std::ostream& out, const std::vector<double>& values)
+putDoubles(Writer& out, const std::vector<double>& values)
 {
     out << values.size();
     for (const double v : values) {
-        out << " " << doubleBits(v);
+        out << " " << Bits{v};
     }
+}
+
+/** Payload bytes to reserve for @p cp: exact for the weight vectors, the
+ *  record lines and the blob, which are nearly all of it; the slack
+ *  covers the short lines. */
+size_t
+payloadSizeHint(const TuningCheckpoint& cp)
+{
+    size_t n = 4096 + cp.explorer_blob.size() +
+               17 * (cp.model_params.size() + cp.siamese_params.size()) +
+               64 * (cp.cache_entries.size() + cp.curve.size() +
+                     cp.measurer.fault_attempts.size()) +
+               512 * cp.round_stats.size();
+    for (const std::string& line : cp.record_lines) {
+        n += line.size() + 5;
+    }
+    for (const auto& hist : cp.scheduler.history) {
+        n += 24 + 17 * hist.size();
+    }
+    return n;
 }
 
 std::vector<double>
@@ -248,10 +326,25 @@ checkpointFingerprint(const std::string& replay_factory,
     return h;
 }
 
-TuningCheckpoint
-buildCheckpoint(const CheckpointSources& src)
+void
+buildCheckpoint(const CheckpointSources& src, TuningCheckpoint* out)
 {
-    TuningCheckpoint cp;
+    PRUNER_CHECK(out != nullptr);
+    // The db is append-only, so the record lines of an earlier save are a
+    // prefix of today's: keep them and format only the records added since.
+    std::vector<std::string> record_lines = std::move(out->record_lines);
+    const auto& records = src.db->records();
+    PRUNER_CHECK_MSG(record_lines.size() <= records.size(),
+                     "checkpoint holds more record lines than the db has "
+                     "records (not built from these sources)");
+    record_lines.reserve(records.size());
+    for (size_t i = record_lines.size(); i < records.size(); ++i) {
+        record_lines.push_back(recordToLine(records[i]));
+    }
+
+    TuningCheckpoint& cp = *out;
+    cp = TuningCheckpoint{};
+    cp.record_lines = std::move(record_lines);
     cp.fingerprint = src.fingerprint;
     cp.next_round = src.next_round;
     cp.clock_lanes = src.clock_lanes;
@@ -274,10 +367,6 @@ buildCheckpoint(const CheckpointSources& src)
     }
     cp.measurer = src.measurer->exportState();
     cp.scheduler = src.scheduler->exportState();
-    cp.record_lines.reserve(src.db->records().size());
-    for (const auto& rec : src.db->records()) {
-        cp.record_lines.push_back(recordToLine(rec));
-    }
     if (src.cache != nullptr) {
         cp.cache_entries = src.cache->exportEntries();
     }
@@ -293,7 +382,6 @@ buildCheckpoint(const CheckpointSources& src)
     if (src.explorer != nullptr) {
         cp.explorer_blob = src.explorer->serializeState();
     }
-    return cp;
 }
 
 int
@@ -359,14 +447,18 @@ applyCheckpoint(const TuningCheckpoint& cp, const Workload& workload,
 std::string
 encodeCheckpoint(const TuningCheckpoint& cp)
 {
-    std::ostringstream out;
-    out.imbue(std::locale::classic());
-    out << "fp " << hexU64(cp.fingerprint) << "\n";
+    // The whole file is built in one string: the payload first (its size
+    // and CRC go into the header), then the header is inserted in front of
+    // it within the reserved capacity.
+    constexpr size_t kHeaderMax = 80;
+    Writer out;
+    out.text.reserve(kHeaderMax + payloadSizeHint(cp));
+    out << "fp " << Hex{cp.fingerprint} << "\n";
     out << "round " << cp.next_round << "\n";
     out << "lanes " << cp.clock_lanes << "\n";
     out << "clock";
     for (const double t : cp.clock_totals) {
-        out << " " << doubleBits(t);
+        out << " " << Bits{t};
     }
     out << "\n";
     out << "rng ";
@@ -389,10 +481,10 @@ encodeCheckpoint(const TuningCheckpoint& cp)
     }
     out << "meas ";
     putRng(out, cp.measurer.rng);
-    out << " " << hexU64(cp.measurer.batch_index) << " "
+    out << " " << Hex{cp.measurer.batch_index} << " "
         << cp.measurer.fault_attempts.size();
     for (const auto& [key, attempts] : cp.measurer.fault_attempts) {
-        out << " " << hexU64(key) << " " << attempts;
+        out << " " << Hex{key} << " " << attempts;
     }
     out << "\n";
     out << "sched " << cp.scheduler.round_robin_cursor << " "
@@ -401,7 +493,7 @@ encodeCheckpoint(const TuningCheckpoint& cp)
         out << " " << cp.scheduler.rounds[i] << " "
             << cp.scheduler.history[i].size();
         for (const double v : cp.scheduler.history[i]) {
-            out << " " << doubleBits(v);
+            out << " " << Bits{v};
         }
     }
     out << "\n";
@@ -409,13 +501,13 @@ encodeCheckpoint(const TuningCheckpoint& cp)
         out << "rec\t" << line << "\n";
     }
     for (const auto& entry : cp.cache_entries) {
-        out << "cache " << hexU64(entry.task_hash) << " "
-            << hexU64(entry.sched_hash) << " " << doubleBits(entry.latency)
+        out << "cache " << Hex{entry.task_hash} << " "
+            << Hex{entry.sched_hash} << " " << Bits{entry.latency}
             << "\n";
     }
     for (const auto& point : cp.curve) {
-        out << "curve " << doubleBits(point.time_s) << " "
-            << doubleBits(point.latency_s) << "\n";
+        out << "curve " << Bits{point.time_s} << " "
+            << Bits{point.latency_s} << "\n";
     }
     for (const auto& r : cp.round_stats) {
         out << "rstat ";
@@ -458,13 +550,13 @@ encodeCheckpoint(const TuningCheckpoint& cp)
     }
     out << "end\n";
 
-    const std::string payload = out.str();
-    char header[80];
-    std::snprintf(header, sizeof(header), "%s v%d crc=%08x bytes=%zu\n",
-                  kHeaderTag, kVersion,
-                  io::crc32(payload.data(), payload.size()),
-                  payload.size());
-    return std::string(header) + payload;
+    std::string& text = out.text;
+    char header[kHeaderMax];
+    const int header_len = std::snprintf(
+        header, sizeof(header), "%s v%d crc=%08x bytes=%zu\n", kHeaderTag,
+        kVersion, io::crc32(text.data(), text.size()), text.size());
+    text.insert(0, header, static_cast<size_t>(header_len));
+    return std::move(text);
 }
 
 TuningCheckpoint
@@ -487,7 +579,8 @@ decodeCheckpoint(const std::string& text)
     if (version != kVersion) {
         PRUNER_FATAL("checkpoint: unsupported version " << version);
     }
-    const std::string payload = text.substr(header_end + 1);
+    const std::string_view payload =
+        std::string_view(text).substr(header_end + 1);
     if (payload.size() != bytes) {
         PRUNER_FATAL("checkpoint: payload is " << payload.size()
                                                << " bytes, header says "
@@ -502,18 +595,18 @@ decodeCheckpoint(const std::string& text)
     size_t pos = 0;
     while (pos < payload.size() && !saw_end) {
         size_t eol = payload.find('\n', pos);
-        if (eol == std::string::npos) {
+        if (eol == std::string_view::npos) {
             eol = payload.size();
         }
-        const std::string line = payload.substr(pos, eol - pos);
+        const std::string_view line = payload.substr(pos, eol - pos);
         pos = eol + 1;
         if (line.empty()) {
             continue;
         }
         const size_t sep = line.find_first_of(" \t");
-        const std::string kind =
-            sep == std::string::npos ? line : line.substr(0, sep);
-        const size_t body = sep == std::string::npos ? line.size() : sep + 1;
+        const std::string_view kind = line.substr(0, sep);
+        const size_t body =
+            sep == std::string_view::npos ? line.size() : sep + 1;
         Tok in(line, body);
         if (kind == "fp") {
             cp.fingerprint = in.u64();
@@ -564,7 +657,7 @@ decodeCheckpoint(const std::string& text)
                 cp.scheduler.history.push_back(std::move(hist));
             }
         } else if (kind == "rec") {
-            cp.record_lines.push_back(line.substr(body));
+            cp.record_lines.emplace_back(line.substr(body));
         } else if (kind == "cache") {
             MeasureCacheEntry entry;
             entry.task_hash = in.u64();
@@ -579,13 +672,15 @@ decodeCheckpoint(const std::string& text)
         } else if (kind == "rstat") {
             cp.round_stats.push_back(getRoundStats(in));
         } else if (kind == "mc") {
-            const std::string name = in.next();
+            std::string name(in.next());
             cp.metrics.counters.push_back(
-                {name, obs::MetricChannel::Deterministic, in.dec()});
+                {std::move(name), obs::MetricChannel::Deterministic,
+                 in.dec()});
         } else if (kind == "mg") {
-            const std::string name = in.next();
+            std::string name(in.next());
             cp.metrics.gauges.push_back(
-                {name, obs::MetricChannel::Deterministic, in.sdec()});
+                {std::move(name), obs::MetricChannel::Deterministic,
+                 in.sdec()});
         } else if (kind == "mh") {
             obs::MetricsSnapshot::HistogramValue hist;
             hist.name = in.next();
@@ -606,14 +701,15 @@ decodeCheckpoint(const std::string& text)
             }
             cp.metrics.histograms.push_back(std::move(hist));
         } else if (kind == "ml") {
-            const std::string rest = line.substr(body);
+            const std::string_view rest = line.substr(body);
             const size_t tab = rest.find('\t');
-            if (tab == std::string::npos) {
+            if (tab == std::string_view::npos) {
                 PRUNER_FATAL("checkpoint: malformed label line");
             }
             cp.metrics.labels.push_back(
-                {rest.substr(0, tab), obs::MetricChannel::Deterministic,
-                 rest.substr(tab + 1)});
+                {std::string(rest.substr(0, tab)),
+                 obs::MetricChannel::Deterministic,
+                 std::string(rest.substr(tab + 1))});
         } else if (kind == "exp") {
             cp.explorer_blob = line.substr(body);
         } else if (kind == "end") {
@@ -653,6 +749,20 @@ saveCheckpoint(const std::string& path, const TuningCheckpoint& cp,
             ->add(1);
     }
     return true;
+}
+
+bool
+saveRoundCheckpoint(const std::string& path, const CheckpointSources& src,
+                    std::vector<std::string>* record_lines,
+                    obs::MetricsRegistry* metrics)
+{
+    PRUNER_CHECK(record_lines != nullptr);
+    TuningCheckpoint cp;
+    cp.record_lines = std::move(*record_lines);
+    buildCheckpoint(src, &cp);
+    const bool saved = saveCheckpoint(path, cp, metrics);
+    *record_lines = std::move(cp.record_lines);
+    return saved;
 }
 
 std::optional<TuningCheckpoint>
@@ -706,27 +816,26 @@ loadCheckpoint(const std::string& path, uint64_t expected_fingerprint,
 std::string
 resultSignature(const TuneResult& result)
 {
-    std::ostringstream out;
-    out.imbue(std::locale::classic());
+    Writer out;
     out << "policy " << result.policy << "\n";
-    out << "final " << doubleBits(result.final_latency) << " "
-        << doubleBits(result.total_time_s) << " "
-        << doubleBits(result.exploration_s) << " "
-        << doubleBits(result.training_s) << " "
-        << doubleBits(result.measurement_s) << " "
-        << doubleBits(result.compile_s) << "\n";
+    out << "final " << Bits{result.final_latency} << " "
+        << Bits{result.total_time_s} << " "
+        << Bits{result.exploration_s} << " "
+        << Bits{result.training_s} << " "
+        << Bits{result.measurement_s} << " "
+        << Bits{result.compile_s} << "\n";
     out << "counters " << result.trials << " " << result.failed_trials
         << " " << result.cache_hits << " " << result.simulated_trials
         << " " << result.warm_records << " " << result.injected_faults
         << "\n";
     out << "best";
     for (const double b : result.best_per_task) {
-        out << " " << doubleBits(b);
+        out << " " << Bits{b};
     }
     out << "\n";
     for (const auto& point : result.curve) {
-        out << "curve " << doubleBits(point.time_s) << " "
-            << doubleBits(point.latency_s) << "\n";
+        out << "curve " << Bits{point.time_s} << " "
+            << Bits{point.latency_s} << "\n";
     }
     for (const auto& r : result.round_stats) {
         out << "rstat ";
@@ -735,7 +844,7 @@ resultSignature(const TuneResult& result)
     }
     out << "failed " << (result.failed ? 1 : 0) << " "
         << result.failure_reason << "\n";
-    return out.str();
+    return std::move(out.text);
 }
 
 } // namespace pruner

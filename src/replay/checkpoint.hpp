@@ -142,9 +142,14 @@ struct CheckpointSources
     const obs::MetricsRegistry* metrics = nullptr;
 };
 
-/** Snapshot a round boundary into a checkpoint (pure reads — never
- *  perturbs the tuning trajectory). */
-TuningCheckpoint buildCheckpoint(const CheckpointSources& src);
+/** Snapshot a round boundary into @p out (pure reads — never perturbs the
+ *  tuning trajectory). Every field is rebuilt from @p src except the
+ *  record lines: those already in @p out are kept and only records
+ *  appended to the db since are formatted (TuningRecordDb is
+ *  append-only), so the result is identical to a build into a fresh
+ *  TuningCheckpoint. @p out must be fresh or hold the lines of an earlier
+ *  build from the same db. */
+void buildCheckpoint(const CheckpointSources& src, TuningCheckpoint* out);
 
 /** Mutable counterparts applyCheckpoint() restores into, right after the
  *  loop constructs them and before the first round runs. Null members are
@@ -189,6 +194,18 @@ TuningCheckpoint decodeCheckpoint(const std::string& text);
  */
 bool saveCheckpoint(const std::string& path, const TuningCheckpoint& cp,
                     obs::MetricsRegistry* metrics = nullptr);
+
+/**
+ * A tuning loop's per-round save: buildCheckpoint() + saveCheckpoint().
+ * @p record_lines carries the record lines across a loop's saves (start
+ * it empty), so each save formats only the records measured since the
+ * previous one; everything else is dropped after the write, so nothing
+ * but the lines stays resident between saves.
+ */
+bool saveRoundCheckpoint(const std::string& path,
+                         const CheckpointSources& src,
+                         std::vector<std::string>* record_lines,
+                         obs::MetricsRegistry* metrics);
 
 /**
  * Load a checkpoint for the run identified by @p expected_fingerprint.

@@ -1,8 +1,8 @@
 #include "replay/session_log.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
-#include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <sstream>
@@ -34,17 +34,40 @@ splitTabs(const std::string& s)
 
 } // namespace
 
+void
+appendHex16(std::string& out, uint64_t value)
+{
+    // Two lowercase hex digits per byte value, so the 16 digits take
+    // eight table lookups.
+    static constexpr auto kPairs = [] {
+        constexpr char kDigits[] = "0123456789abcdef";
+        std::array<char, 512> pairs{};
+        for (size_t b = 0; b < 256; ++b) {
+            pairs[2 * b] = kDigits[b >> 4];
+            pairs[2 * b + 1] = kDigits[b & 0xF];
+        }
+        return pairs;
+    }();
+    char buf[16];
+    for (int i = 7; i >= 0; --i) {
+        const size_t b = value & 0xFFu;
+        buf[2 * i] = kPairs[2 * b];
+        buf[2 * i + 1] = kPairs[2 * b + 1];
+        value >>= 8;
+    }
+    out.append(buf, sizeof(buf));
+}
+
 std::string
 hexU64(uint64_t value)
 {
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(value));
-    return std::string(buf);
+    std::string out;
+    appendHex16(out, value);
+    return out;
 }
 
 uint64_t
-parseHexU64(const std::string& hex)
+parseHexU64(std::string_view hex)
 {
     if (hex.empty() || hex.size() > 16) {
         PRUNER_FATAL("session log: malformed hex field '" << hex << "'");
@@ -72,7 +95,7 @@ doubleBits(double value)
 }
 
 double
-bitsToDouble(const std::string& hex)
+bitsToDouble(std::string_view hex)
 {
     return std::bit_cast<double>(parseHexU64(hex));
 }

@@ -43,21 +43,27 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace pruner {
+
+/** Append @p value as 16 lowercase hex digits (zero-padded) to @p out —
+ *  the one encoder behind hexU64(), doubleBits() and the checkpoint
+ *  writer. */
+void appendHex16(std::string& out, uint64_t value);
 
 /** Encode a double as its 16-hex-digit IEEE-754 bit pattern. */
 std::string doubleBits(double value);
 
 /** Decode doubleBits(); throws FatalError on malformed input. */
-double bitsToDouble(const std::string& hex);
+double bitsToDouble(std::string_view hex);
 
 /** Encode a uint64 as 16 hex digits. */
 std::string hexU64(uint64_t value);
 
 /** Decode hexU64(); throws FatalError on malformed input. */
-uint64_t parseHexU64(const std::string& hex);
+uint64_t parseHexU64(std::string_view hex);
 
 /** Order-sensitive content hash of a flat parameter vector (bit_cast per
  *  element), used for the model checkpoint hashes in session logs. */

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <sstream>
 #include <unordered_map>
@@ -12,6 +11,7 @@
 #include "cost/cost_model.hpp"
 #include "cost/gbt_model.hpp"
 #include "obs/metrics.hpp"
+#include "replay/session_log.hpp"
 #include "support/logging.hpp"
 
 namespace pruner {
@@ -19,24 +19,9 @@ namespace pruner {
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Checkpoint-blob helpers: space-separated printable tokens, doubles as
-// 16-hex IEEE-754 bit patterns (bit-exact round trip, the session-log
-// convention).
-
-std::string
-hexU64(uint64_t v)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
-
-std::string
-hexDouble(double v)
-{
-    return hexU64(std::bit_cast<uint64_t>(v));
-}
+// Checkpoint blobs: space-separated printable tokens, written with the
+// session-log hexU64()/doubleBits() codec (doubles as 16-hex IEEE-754 bit
+// patterns, a bit-exact round trip).
 
 /** Cursor-based reader over a serializeState() blob. */
 class BlobReader
@@ -350,7 +335,7 @@ class BayesExplorer final : public Explorer
         out << "bayes1 " << hexU64(sorted.size());
         for (const auto& [hash, inc] : sorted) {
             const std::string sch = inc->sch.serialize();
-            out << ' ' << hexU64(hash) << ' ' << hexDouble(inc->latency)
+            out << ' ' << hexU64(hash) << ' ' << doubleBits(inc->latency)
                 << ' ' << hexU64(sch.size()) << ' ' << sch;
         }
         return out.str();
@@ -666,12 +651,12 @@ class GbtExplorer final : public Explorer
         std::ostringstream out;
         out << "gbt1 " << hexU64(targets_.size());
         for (const double t : targets_) {
-            out << ' ' << hexDouble(t);
+            out << ' ' << doubleBits(t);
         }
         for (size_t r = 0; r < features_.rows(); ++r) {
             const double* row = features_.row(r);
             for (size_t c = 0; c < features_.cols(); ++c) {
-                out << ' ' << hexDouble(row[c]);
+                out << ' ' << doubleBits(row[c]);
             }
         }
         return out.str();
@@ -854,7 +839,7 @@ class PortfolioExplorer final : public Explorer
                 << hexU64(st->last_arm) << ' ' << hexU64(st->winner);
             for (size_t a = 0; a < arms_.size(); ++a) {
                 out << ' '
-                    << hexDouble(a < st->best.size() ? st->best[a] : kInf);
+                    << doubleBits(a < st->best.size() ? st->best[a] : kInf);
             }
         }
         // Nested arm blobs, length-prefixed (they contain spaces).

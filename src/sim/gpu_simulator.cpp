@@ -199,10 +199,14 @@ GpuSimulator::trueLatency(const SubgraphTask& task, const Schedule& sch,
         }
         const auto& tensor = task.tensors[stmt.tensor];
         // Shared-memory staging recovers part of the implicit-GEMM halo
-        // redundancy for convolutions (footprint_scale < 1).
+        // redundancy for convolutions (footprint_scale < 1). Not
+        // std::clamp: footprint_scale > 1 would put its lower bound above
+        // its upper one (undefined behaviour). This is the min/max
+        // libstdc++'s clamp evaluates, so every latency stays the same.
         const double halo_recovery =
-            std::clamp(tensor.footprint_scale * 3.0,
-                       tensor.footprint_scale, 1.0);
+            std::min(std::max(tensor.footprint_scale * 3.0,
+                              tensor.footprint_scale),
+                     1.0);
         const double traffic_bytes =
             stmt.s5_traffic * bytes_per_elem * halo_recovery;
         const double unique_bytes =

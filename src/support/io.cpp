@@ -18,22 +18,33 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/** Reflected CRC-32 lookup table (IEEE 802.3 polynomial). */
-const uint32_t*
-crcTable()
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+/** Slice-by-8 tables for the reflected CRC-32 (IEEE 802.3 polynomial).
+ *  Table 0 is the classic bytewise table; table k advances a byte's
+ *  contribution by k further zero bytes, so eight table lookups fold
+ *  eight input bytes at once. */
+const CrcTables&
+crcTables()
 {
-    static const auto table = [] {
-        std::array<uint32_t, 256> t{};
+    static const CrcTables tables = [] {
+        CrcTables t{};
         for (uint32_t i = 0; i < 256; ++i) {
             uint32_t c = i;
             for (int k = 0; k < 8; ++k) {
                 c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
             }
-            t[i] = c;
+            t[0][i] = c;
+        }
+        for (size_t k = 1; k < t.size(); ++k) {
+            for (size_t i = 0; i < 256; ++i) {
+                const uint32_t prev = t[k - 1][i];
+                t[k][i] = (prev >> 8) ^ t[0][prev & 0xFFu];
+            }
         }
         return t;
     }();
-    return table.data();
+    return tables;
 }
 
 constexpr char kCrcPrefix[] = "\tcrc=";
@@ -96,11 +107,22 @@ crashNow()
 uint32_t
 crc32(const void* data, size_t size)
 {
-    const uint32_t* table = crcTable();
+    const CrcTables& t = crcTables();
     const auto* bytes = static_cast<const unsigned char*>(data);
     uint32_t crc = 0xFFFFFFFFu;
-    for (size_t i = 0; i < size; ++i) {
-        crc = table[(crc ^ bytes[i]) & 0xFFu] ^ (crc >> 8);
+    // Bytes are assembled explicitly (little-endian order), so the result
+    // is independent of host endianness and input alignment.
+    for (; size >= 8; size -= 8, bytes += 8) {
+        const uint32_t lo = crc ^ (static_cast<uint32_t>(bytes[0]) |
+                                   static_cast<uint32_t>(bytes[1]) << 8 |
+                                   static_cast<uint32_t>(bytes[2]) << 16 |
+                                   static_cast<uint32_t>(bytes[3]) << 24);
+        crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+              t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][bytes[4]] ^
+              t[2][bytes[5]] ^ t[1][bytes[6]] ^ t[0][bytes[7]];
+    }
+    for (; size > 0; --size, ++bytes) {
+        crc = t[0][(crc ^ *bytes) & 0xFFu] ^ (crc >> 8);
     }
     return crc ^ 0xFFFFFFFFu;
 }

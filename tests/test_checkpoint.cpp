@@ -17,10 +17,13 @@
 #include <vector>
 
 #include "baselines/ansor.hpp"
+#include "core/moa.hpp"
 #include "core/pruner_tuner.hpp"
+#include "cost/pacm_model.hpp"
 #include "ir/workload_registry.hpp"
 #include "obs/metrics.hpp"
 #include "replay/checkpoint.hpp"
+#include "search/explorer.hpp"
 #include "support/io.hpp"
 #include "support/logging.hpp"
 
@@ -224,6 +227,138 @@ TEST_F(CheckpointTest, EncodeDecodeRoundTripsExactly)
     const std::string bytes = readFileBytes(kCkptPath);
     const TuningCheckpoint decoded = decodeCheckpoint(bytes);
     EXPECT_EQ(encodeCheckpoint(decoded), bytes);
+}
+
+/** The fixed short MoA run whose final checkpoint is the checked-in
+ *  fixture tests/data/golden_checkpoint.ckpt: both weight vectors, record
+ *  and cache lines, fault attempts, round stats and metrics. The fixture
+ *  pins the v1 bytes; regenerate it only when the format is deliberately
+ *  versioned, by copying the checkpoint this run writes. */
+TuneResult
+runGoldenMoA(const std::string& checkpoint_path)
+{
+    PrunerConfig config;
+    config.use_moa = true;
+    config.lse.spec_size = 64;
+    TuneOptions opts;
+    opts.rounds = 6;
+    opts.seed = 7;
+    opts.tasks_per_round = 2;
+    opts.collect_round_stats = true;
+    FaultPlan plan;
+    plan.seed = 42;
+    plan.launch_failure_rate = 0.05;
+    plan.flaky_rate = 0.1;
+    opts.fault_plan = plan;
+    opts.checkpoint_interval = 1;
+    opts.checkpoint_path = checkpoint_path;
+    PrunerPolicy policy(DeviceSpec::a100(), config);
+    return policy.tune(smallWorkload(), opts);
+}
+
+std::string
+goldenCheckpoint()
+{
+    const std::string bytes = readFileBytes(
+        std::string(PRUNER_TEST_DATA_DIR) + "/golden_checkpoint.ckpt");
+    EXPECT_FALSE(bytes.empty()) << "missing golden checkpoint fixture";
+    return bytes;
+}
+
+TEST_F(CheckpointTest, GoldenFixtureIsReproducedByteForByte)
+{
+    // Six saves, each extending the previous save's record lines: the
+    // final file must still be the bytes the fixture froze.
+    (void)runGoldenMoA(kCkptPath);
+    const std::string written = readFileBytes(kCkptPath);
+    const std::string golden = goldenCheckpoint();
+    ASSERT_EQ(written.size(), golden.size());
+    EXPECT_TRUE(written == golden);
+}
+
+TEST_F(CheckpointTest, GoldenFixtureRoundTrips)
+{
+    const std::string golden = goldenCheckpoint();
+    EXPECT_TRUE(encodeCheckpoint(decodeCheckpoint(golden)) == golden);
+}
+
+TEST_F(CheckpointTest, IncrementalBuildMatchesFreshBuild)
+{
+    // Restore the fixture into live objects, then snapshot them twice:
+    // once into a fresh TuningCheckpoint, once incrementally — a first
+    // build while the db holds half of the records, a second after the
+    // rest are appended.
+    const TuningCheckpoint golden = decodeCheckpoint(goldenCheckpoint());
+    const Workload w = smallWorkload();
+    const auto dev = DeviceSpec::a100();
+    SimClock clock;
+    Rng rng(0);
+    Measurer measurer(dev, &clock, 0, CostConstants::defaults());
+    TaskScheduler scheduler(w);
+    TuningRecordDb db;
+    MeasureCache cache;
+    auto explorer = ExplorerRegistry::instance().make("", "");
+    PaCMModel model(dev, 0);
+    MoAAdapter moa(&model);
+    obs::MetricsRegistry metrics;
+    obs::RoundStatsCollector round_stats(true, &clock, &measurer);
+    std::vector<CurvePoint> curve;
+
+    CheckpointTargets targets;
+    targets.clock = &clock;
+    targets.rng = &rng;
+    targets.measurer = &measurer;
+    targets.scheduler = &scheduler;
+    targets.db = &db;
+    targets.cache = &cache;
+    targets.explorer = explorer.get();
+    targets.model = &model;
+    targets.moa = &moa;
+    targets.metrics = &metrics;
+    targets.round_stats = &round_stats;
+    targets.curve = &curve;
+    ASSERT_EQ(applyCheckpoint(golden, w, targets), golden.next_round);
+    ASSERT_GT(db.size(), 2u);
+
+    CheckpointSources src;
+    src.fingerprint = golden.fingerprint;
+    src.next_round = golden.next_round;
+    src.clock_lanes = golden.clock_lanes;
+    src.clock = &clock;
+    src.rng = &rng;
+    src.measurer = &measurer;
+    src.scheduler = &scheduler;
+    src.db = &db;
+    src.cache = &cache;
+    src.explorer = explorer.get();
+    src.model = &model;
+    src.model_rng = model.trainingRng();
+    src.siamese = &moa.siameseParams();
+    src.curve = &curve;
+    src.round_stats = &round_stats.rounds();
+    src.metrics = &metrics;
+    TuningCheckpoint fresh;
+    buildCheckpoint(src, &fresh);
+
+    TuningRecordDb growing;
+    const auto& records = db.records();
+    const size_t half = records.size() / 2;
+    for (size_t i = 0; i < half; ++i) {
+        growing.add(records[i]);
+    }
+    src.db = &growing;
+    TuningCheckpoint incremental;
+    buildCheckpoint(src, &incremental);
+    EXPECT_EQ(incremental.record_lines.size(), half);
+    for (size_t i = half; i < records.size(); ++i) {
+        growing.add(records[i]);
+    }
+    buildCheckpoint(src, &incremental);
+
+    const std::string fresh_bytes = encodeCheckpoint(fresh);
+    EXPECT_TRUE(encodeCheckpoint(incremental) == fresh_bytes);
+    // Restoring and re-snapshotting is lossless too.
+    EXPECT_TRUE(fresh_bytes == encodeCheckpoint(golden));
 }
 
 TEST_F(CheckpointTest, MissingResumeFileStartsCold)

@@ -1,11 +1,13 @@
-/** Tests for src/support: logging, rng, stats, table, sim clock. */
+/** Tests for src/support: logging, rng, stats, table, crc32, sim clock. */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
 #include <set>
+#include <string>
 
+#include "support/io.hpp"
 #include "support/logging.hpp"
 #include "support/rng.hpp"
 #include "support/sim_clock.hpp"
@@ -306,6 +308,46 @@ TEST(Table, AsciiAndCsvRendering)
     const std::string csv = t.csv();
     EXPECT_NE(csv.find("name,value"), std::string::npos);
     EXPECT_EQ(t.rowCount(), 2u);
+}
+
+/** Bit-serial reflected CRC-32: the definition, with no tables. */
+uint32_t
+crc32Bitwise(const unsigned char* bytes, size_t size)
+{
+    uint32_t crc = 0xFFFFFFFFu;
+    for (size_t i = 0; i < size; ++i) {
+        crc ^= bytes[i];
+        for (int k = 0; k < 8; ++k) {
+            crc = (crc & 1u) != 0 ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+        }
+    }
+    return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, KnownAnswers)
+{
+    EXPECT_EQ(io::crc32(std::string("123456789")), 0xcbf43926u);
+    EXPECT_EQ(io::crc32(std::string()), 0u);
+    EXPECT_EQ(io::crc32(nullptr, 0), 0u);
+}
+
+TEST(Crc32, MatchesBitwiseAtEveryLengthAndAlignment)
+{
+    // Lengths 0..257 cover the empty input, pure tails (< 8 bytes), whole
+    // 8-byte blocks and blocks plus tails; offsets 0..7 start the input at
+    // every alignment.
+    alignas(8) unsigned char buf[8 + 257];
+    Rng rng(0xC4C);
+    for (unsigned char& b : buf) {
+        b = static_cast<unsigned char>(rng() & 0xFFu);
+    }
+    for (size_t offset = 0; offset < 8; ++offset) {
+        for (size_t len = 0; len <= 257; ++len) {
+            ASSERT_EQ(io::crc32(buf + offset, len),
+                      crc32Bitwise(buf + offset, len))
+                << "offset " << offset << " length " << len;
+        }
+    }
 }
 
 TEST(SimClock, ChargesPerCategory)

@@ -12,10 +12,13 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "baselines/adatune.hpp"
 #include "baselines/ansor.hpp"
 #include "core/moa.hpp"
 #include "core/pruner_tuner.hpp"
@@ -144,73 +147,74 @@ TEST_F(CheckpointTest, ResumeFromFinalCheckpointRebuildsResult)
     EXPECT_EQ(resultSignature(resumed), resultSignature(golden));
 }
 
-TEST_F(CheckpointTest, MidRunResumeIsByteIdenticalAtAnyWorkerCount)
+/** A resumable policy variant; make() builds an identical fresh policy
+ *  for each run. */
+struct ResumeCase
 {
-    const auto dev = DeviceSpec::a100();
-    const Workload w = smallWorkload();
+    const char* name;
+    std::function<std::unique_ptr<SearchPolicy>()> make;
+};
 
-    PrunerPolicy golden_policy(dev, smallPrunerConfig());
-    const TuneResult golden = golden_policy.tune(w, baseOptions());
-
-    // Interval 2 over 4 rounds saves after round 2 (write op 0) and after
-    // the final round (write op 1). Failing op 1 freezes the file at the
-    // round-2 state — exactly what a kill between the two saves leaves
-    // behind.
-    TuneOptions opts = baseOptions();
-    opts.checkpoint_interval = 2;
-    opts.checkpoint_path = kCkptPath;
-    io::IoFaultPlan plan;
-    plan.fault_kind = io::IoFaultKind::NoSpace;
-    plan.fail_ops[0] = 1;
-    io::setIoFaultPlan(plan);
-    PrunerPolicy policy(dev, smallPrunerConfig());
-    const TuneResult interrupted = policy.tune(w, opts);
-    io::clearIoFaultPlan();
-    // The failed final save is a warning, not a failure: the run itself
-    // still matches the golden run.
-    EXPECT_EQ(resultSignature(interrupted), resultSignature(golden));
-    ASSERT_TRUE(fs::exists(kCkptPath));
-
-    // Resume the round-2 checkpoint at 1, 2 and 4 workers: the pinned
-    // clock lanes make every resumed trajectory byte-identical.
-    for (const int workers : {1, 2, 4}) {
-        TuneOptions resume = baseOptions();
-        resume.resume_from = kCkptPath;
-        resume.measure_workers = workers;
-        resume.async_training = workers > 1;
-        PrunerPolicy resumed_policy(dev, smallPrunerConfig());
-        const TuneResult resumed = resumed_policy.tune(w, resume);
-        EXPECT_EQ(resultSignature(resumed), resultSignature(golden))
-            << "workers=" << workers;
-    }
+std::function<std::unique_ptr<SearchPolicy>()>
+prunerVariant(bool use_moa, bool use_lse)
+{
+    return [use_moa, use_lse] {
+        PrunerConfig config = smallPrunerConfig();
+        config.use_moa = use_moa;
+        config.use_lse = use_lse;
+        return std::make_unique<PrunerPolicy>(DeviceSpec::a100(), config);
+    };
 }
 
-TEST_F(CheckpointTest, EvoPolicyMidRunResumeIsByteIdentical)
+TEST_F(CheckpointTest, MidRunResumeIsByteIdenticalForEveryVariant)
 {
-    const auto dev = DeviceSpec::a100();
     const Workload w = smallWorkload();
+    const ResumeCase cases[] = {
+        {"pruner", prunerVariant(false, true)},
+        // The MoA Siamese parameters and their RNG lineage ride in the
+        // checkpoint too; MoA trains synchronously even with async set.
+        {"moa", prunerVariant(true, true)},
+        // PaCM scores the whole GA population inside the draft.
+        {"pruner_nolse", prunerVariant(false, false)},
+        {"ansor", [] { return baselines::makeAnsor(DeviceSpec::a100(), 9); }},
+        {"adatune",
+         [] { return baselines::makeAdatune(DeviceSpec::a100(), 9); }},
+    };
+    for (const ResumeCase& c : cases) {
+        SCOPED_TRACE(c.name);
+        removeCheckpointFiles();
+        const TuneResult golden = c.make()->tune(w, baseOptions());
 
-    auto golden_policy = baselines::makeAnsor(dev, 9);
-    const TuneResult golden = golden_policy->tune(w, baseOptions());
+        // Interval 2 over 4 rounds saves after round 2 (write op 0) and
+        // after the final round (write op 1). Failing op 1 freezes the
+        // file at the round-2 state — exactly what a kill between the two
+        // saves leaves behind.
+        TuneOptions opts = baseOptions();
+        opts.checkpoint_interval = 2;
+        opts.checkpoint_path = kCkptPath;
+        io::IoFaultPlan plan;
+        plan.fault_kind = io::IoFaultKind::NoSpace;
+        plan.fail_ops[0] = 1;
+        io::setIoFaultPlan(plan);
+        const TuneResult interrupted = c.make()->tune(w, opts);
+        io::clearIoFaultPlan();
+        // The failed final save is a warning, not a failure: the run
+        // itself still matches the golden run.
+        EXPECT_EQ(resultSignature(interrupted), resultSignature(golden));
+        ASSERT_TRUE(fs::exists(kCkptPath));
 
-    TuneOptions opts = baseOptions();
-    opts.checkpoint_interval = 2;
-    opts.checkpoint_path = kCkptPath;
-    io::IoFaultPlan plan;
-    plan.fault_kind = io::IoFaultKind::NoSpace;
-    plan.fail_ops[0] = 1;
-    io::setIoFaultPlan(plan);
-    auto policy = baselines::makeAnsor(dev, 9);
-    (void)policy->tune(w, opts);
-    io::clearIoFaultPlan();
-    ASSERT_TRUE(fs::exists(kCkptPath));
-
-    TuneOptions resume = baseOptions();
-    resume.resume_from = kCkptPath;
-    resume.measure_workers = 4;
-    auto resumed_policy = baselines::makeAnsor(dev, 9);
-    const TuneResult resumed = resumed_policy->tune(w, resume);
-    EXPECT_EQ(resultSignature(resumed), resultSignature(golden));
+        // Resume the round-2 checkpoint at 1, 2 and 4 workers: the pinned
+        // clock lanes make every resumed trajectory byte-identical.
+        for (const int workers : {1, 2, 4}) {
+            TuneOptions resume = baseOptions();
+            resume.resume_from = kCkptPath;
+            resume.measure_workers = workers;
+            resume.async_training = workers > 1;
+            const TuneResult resumed = c.make()->tune(w, resume);
+            EXPECT_EQ(resultSignature(resumed), resultSignature(golden))
+                << "workers=" << workers;
+        }
+    }
 }
 
 TEST_F(CheckpointTest, EncodeDecodeRoundTripsExactly)

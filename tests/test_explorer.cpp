@@ -1,6 +1,7 @@
 /** The explorer zoo: the default "evolution" explorer must reproduce the
  *  pre-interface draft loop byte for byte (frozen golden end-lines across
- *  Pruner / MoA-Pruner / Ansor at 1 and 4 workers), every alternative
+ *  Pruner / MoA-Pruner / Ansor at 1 and 4 workers, plus the Pruner
+ *  ablations, Adatune and a sharded MoA run), every alternative
  *  explorer (bayes, gbt, portfolio) must be deterministic at any worker
  *  count and replay byte-identically from its session log, and the
  *  registry must fail loudly on unknown keys. */
@@ -11,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "baselines/adatune.hpp"
 #include "baselines/ansor.hpp"
 #include "core/pruner_tuner.hpp"
 #include "cost/gbt_model.hpp"
@@ -25,53 +27,92 @@ namespace {
 /** Frozen pre-refactor golden end-lines, captured from commit 2cb97d6
  *  (before the Explorer interface existed): resnet50 truncated to two
  *  tasks on a100, rounds=6, seed=42, lse.spec_size=64, default model
- *  seed, Ansor model seed 7. Any byte of drift in the draft stage moves
- *  the curve/per_task/model hashes. */
+ *  seed, Ansor and Adatune model seed 7. Any byte of drift in the draft
+ *  stage moves the curve/per_task/model hashes. */
+enum class Kind
+{
+    Pruner,
+    MoA,
+    Ansor,
+    PrunerNoLse,   ///< Table 12 "w/o LSE": PaCM scores the whole GA
+    PrunerOffline, ///< online_finetune=false: PaCM never updates
+    Adatune,       ///< adaptive (early-terminated) measurement
+    /** tasks_per_round=2 with async_training requested: MoA's Siamese
+     *  update must stay synchronous anyway. */
+    MoASharded,
+};
+
 struct GoldenCase
 {
     const char* name;
     int workers;
-    int kind; // 0 = Pruner, 1 = MoA-Pruner, 2 = Ansor
+    Kind kind;
     const char* end_line;
 };
 
 const GoldenCase kGolden[] = {
-    {"pruner_w1", 1, 0,
+    {"pruner_w1", 1, Kind::Pruner,
      "end\tfinal=3f087dbd09e30ea5\ttotal=406614816f0068dc\texpl="
      "4010902de00d1b71\ttrain=4036800000000000\tmeas=4059800000000000\t"
      "compile=4048000000000000\ttrials=60\tfailed=0\thits=0\tsim=60\t"
      "injected=0\twarm=0\tcurve_n=5\tcurve=4e554c770fb12e11\tper_task="
      "5c1f2fd32d078bda\tmodel=352d6d3cb87996dd\tok=1"},
-    {"pruner_w4", 4, 0,
+    {"pruner_w4", 4, Kind::Pruner,
      "end\tfinal=3f087dbd09e30ea5\ttotal=4061e14e3bcd35a9\texpl="
      "4010902de00d1b71\ttrain=4036800000000000\tmeas=4059800000000000\t"
      "compile=402cccccccccccce\ttrials=60\tfailed=0\thits=0\tsim=60\t"
      "injected=0\twarm=0\tcurve_n=5\tcurve=a7dcf883387db433\tper_task="
      "5c1f2fd32d078bda\tmodel=352d6d3cb87996dd\tok=1"},
-    {"moa_w1", 1, 1,
+    {"moa_w1", 1, Kind::MoA,
      "end\tfinal=3f08ca4af5b36c4e\ttotal=406464816f0068dc\texpl="
      "4010902de00d1b71\ttrain=4022000000000000\tmeas=4059800000000000\t"
      "compile=4048000000000000\ttrials=60\tfailed=0\thits=0\tsim=60\t"
      "injected=0\twarm=0\tcurve_n=5\tcurve=6b15fffff66c0eb8\tper_task="
      "de68aca246d424e0\tmodel=116b996adb012396\tok=1"},
-    {"moa_w4", 4, 1,
+    {"moa_w4", 4, Kind::MoA,
      "end\tfinal=3f08ca4af5b36c4e\ttotal=4060314e3bcd35a8\texpl="
      "4010902de00d1b71\ttrain=4022000000000000\tmeas=4059800000000000\t"
      "compile=402cccccccccccce\ttrials=60\tfailed=0\thits=0\tsim=60\t"
      "injected=0\twarm=0\tcurve_n=5\tcurve=a735e10bb0648041\tper_task="
      "de68aca246d424e0\tmodel=116b996adb012396\tok=1"},
-    {"ansor_w1", 1, 2,
+    {"ansor_w1", 1, Kind::Ansor,
      "end\tfinal=3f0a3733b8bb7146\ttotal=406ba26e978d4fe0\texpl="
      "404f7ced916872b1\ttrain=4020333333333334\tmeas=4059800000000000\t"
      "compile=4048000000000000\ttrials=60\tfailed=0\thits=0\tsim=60\t"
      "injected=0\twarm=0\tcurve_n=5\tcurve=6784cd2fa65f2417\tper_task="
      "9e3aefbb0104f6de\tmodel=631f2e64a834c0d5\tok=1"},
-    {"ansor_w4", 4, 2,
+    {"ansor_w4", 4, Kind::Ansor,
      "end\tfinal=3f0a3733b8bb7146\ttotal=40676f3b645a1cad\texpl="
      "404f7ced916872b1\ttrain=4020333333333334\tmeas=4059800000000000\t"
      "compile=402cccccccccccce\ttrials=60\tfailed=0\thits=0\tsim=60\t"
      "injected=0\twarm=0\tcurve_n=5\tcurve=dcd05b672d7aa569\tper_task="
      "9e3aefbb0104f6de\tmodel=631f2e64a834c0d5\tok=1"},
+    // Captured at commit c9b0000, the last one with a hand-written tune()
+    // loop per policy, so the shared TuningSession must reproduce them.
+    {"pruner_nolse_w1", 1, Kind::PrunerNoLse,
+     "end\tfinal=3f09d996a8a4ea59\ttotal=406a806f69446738\texpl="
+     "4043c1bda5119ce1\ttrain=4036800000000000\tmeas=4059800000000000\t"
+     "compile=4048000000000000\ttrials=60\tfailed=0\thits=0\tsim=60\t"
+     "injected=0\twarm=0\tcurve_n=5\tcurve=71b371354d45ed1b\tper_task="
+     "b2f663d6bd209373\tmodel=d3ad3c7c97af6173\tok=1"},
+    {"pruner_offline_w1", 1, Kind::PrunerOffline,
+     "end\tfinal=3f090e74d3c7d0aa\ttotal=406344816f0068dc\texpl="
+     "4010902de00d1b71\ttrain=0000000000000000\tmeas=4059800000000000\t"
+     "compile=4048000000000000\ttrials=60\tfailed=0\thits=0\tsim=60\t"
+     "injected=0\twarm=0\tcurve_n=5\tcurve=7b5f88abb225c1d4\tper_task="
+     "dbb62ab7fbfcd919\tmodel=818fd66413f5aa3f\tok=1"},
+    {"adatune_w1", 1, Kind::Adatune,
+     "end\tfinal=3f0b3204e217437e\ttotal=405f32e48e8a71df\texpl="
+     "402930be0ded288d\ttrain=4020333333333334\tmeas=404c0cccccccccd3\t"
+     "compile=4047fffffffffffa\ttrials=60\tfailed=0\thits=0\tsim=60\t"
+     "injected=0\twarm=0\tcurve_n=5\tcurve=6faedc30c9cef432\tper_task="
+     "0f5ee12a38025613\tmodel=110d825b31e9a88c\tok=1"},
+    {"moa_sharded_w2", 2, Kind::MoASharded,
+     "end\tfinal=3f05c57726367f0e\ttotal=40712652bd3c3611\texpl="
+     "402130be0ded288d\ttrain=402b000000000000\tmeas=4069800000000000\t"
+     "compile=4048000000000000\ttrials=120\tfailed=0\thits=0\tsim=120\t"
+     "injected=0\twarm=0\tcurve_n=6\tcurve=daaab9f13e3b0c0e\tper_task="
+     "012eaed924b400a1\tmodel=45a3da32cfaf9918\tok=1"},
 };
 
 Workload
@@ -104,13 +145,20 @@ runGoldenCase(const GoldenCase& c, const std::string& explorer,
     opts.clock_lanes = clock_lanes;
     SessionRecorder recorder;
     opts.recorder = &recorder;
-    if (c.kind == 2) {
-        auto policy = baselines::makeAnsor(dev, 7);
-        policy->tune(w, opts);
+    if (c.kind == Kind::Ansor) {
+        baselines::makeAnsor(dev, 7)->tune(w, opts);
+    } else if (c.kind == Kind::Adatune) {
+        baselines::makeAdatune(dev, 7)->tune(w, opts);
     } else {
         PrunerConfig config;
         config.lse.spec_size = 64;
-        config.use_moa = c.kind == 1;
+        config.use_moa = c.kind == Kind::MoA || c.kind == Kind::MoASharded;
+        config.use_lse = c.kind != Kind::PrunerNoLse;
+        config.online_finetune = c.kind != Kind::PrunerOffline;
+        if (c.kind == Kind::MoASharded) {
+            opts.tasks_per_round = 2;
+            opts.async_training = true;
+        }
         PrunerPolicy policy(dev, config);
         policy.tune(w, opts);
     }
@@ -154,9 +202,9 @@ TEST(Explorer, AlternativeExplorersWorkerCountInvariant)
                       "min_records=20"},
     };
     for (const auto& c : cases) {
-        for (const int kind : {0, 2}) { // Pruner and Ansor loops
-            SCOPED_TRACE(std::string(c.key) + "/kind" +
-                         std::to_string(kind));
+        for (const Kind kind : {Kind::Pruner, Kind::Ansor}) {
+            SCOPED_TRACE(std::string(c.key) + "/" +
+                         (kind == Kind::Pruner ? "pruner" : "ansor"));
             // Pin the clock lanes so the whole event stream — not just
             // the measured values — must match across worker counts.
             const GoldenCase w1{"", 1, kind, ""};

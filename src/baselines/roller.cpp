@@ -6,6 +6,7 @@
 #include "core/symbol_analyzer.hpp"
 #include "db/artifact_session.hpp"
 #include "support/logging.hpp"
+#include "support/stats.hpp"
 
 namespace pruner {
 namespace baselines {
@@ -120,7 +121,7 @@ class RollerPolicy : public SearchPolicy
                              opts.constants.sa_eval_per_candidate);
             std::sort(ranked.begin(), ranked.end(),
                       [](const auto& a, const auto& b) {
-                          return a.score > b.score;
+                          return greaterNanLast(a.score, b.score);
                       });
             ScheduleSampler sampler(task, device_);
             const auto to_measure = selectForMeasurement(

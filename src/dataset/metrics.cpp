@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "support/logging.hpp"
+#include "support/stats.hpp"
 
 namespace pruner {
 
@@ -23,7 +24,7 @@ topKScore(const std::vector<TopKGroup>& groups, int k)
         std::vector<size_t> order(g.latencies.size());
         std::iota(order.begin(), order.end(), 0);
         std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-            return g.scores[a] > g.scores[b];
+            return greaterNanLast(g.scores[a], g.scores[b]);
         });
         double best_of_topk = g.latencies[order[0]];
         const size_t limit =

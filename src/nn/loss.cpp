@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "support/logging.hpp"
+#include "support/stats.hpp"
 
 namespace pruner {
 
@@ -62,7 +63,7 @@ lambdaRankLossInto(std::span<const double> scores,
     order.resize(n);
     std::iota(order.begin(), order.end(), 0);
     std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-        return scores[a] > scores[b];
+        return greaterNanLast(scores[a], scores[b]);
     });
     std::vector<double>& rank = scratch.rank;
     rank.resize(n);

@@ -751,20 +751,6 @@ saveCheckpoint(const std::string& path, const TuningCheckpoint& cp,
     return true;
 }
 
-bool
-saveRoundCheckpoint(const std::string& path, const CheckpointSources& src,
-                    std::vector<std::string>* record_lines,
-                    obs::MetricsRegistry* metrics)
-{
-    PRUNER_CHECK(record_lines != nullptr);
-    TuningCheckpoint cp;
-    cp.record_lines = std::move(*record_lines);
-    buildCheckpoint(src, &cp);
-    const bool saved = saveCheckpoint(path, cp, metrics);
-    *record_lines = std::move(cp.record_lines);
-    return saved;
-}
-
 std::optional<TuningCheckpoint>
 loadCheckpoint(const std::string& path, uint64_t expected_fingerprint,
                obs::MetricsRegistry* metrics)

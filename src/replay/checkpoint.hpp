@@ -5,15 +5,16 @@
  * Crash-safe checkpoint/resume for long tuning sessions.
  *
  * Every TuneOptions::checkpoint_interval completed rounds (and after the
- * final round) both tuning loops snapshot the full resumable state — round
- * index, simulated clock, every RNG lineage, task-scheduler history,
- * explorer state, cost-model weights, measured records, measurement cache,
- * curve, round stats and the deterministic metrics channel — into one
- * versioned file. A later run pointed at that file via
- * TuneOptions::resume_from continues the session and produces a TuneResult
- * byte-identical to the uninterrupted run, at any kill point on a
- * checkpoint boundary and at any worker count (the checkpoint pins the
- * resolved clock_lanes divisor just like session replay does).
+ * final round) the TuningSession (src/search/tuning_session.hpp) snapshots
+ * the full resumable state — round index, simulated clock, every RNG
+ * lineage, task-scheduler history, explorer state, cost-model weights,
+ * measured records, measurement cache, curve, round stats and the
+ * deterministic metrics channel — into one versioned file. A later run
+ * pointed at that file via TuneOptions::resume_from continues the session
+ * and produces a TuneResult byte-identical to the uninterrupted run, at
+ * any kill point on a checkpoint boundary and at any worker count (the
+ * checkpoint pins the resolved clock_lanes divisor just like session
+ * replay does).
  *
  * Durability discipline:
  *  - The file is written tmp + rename (io::atomicWriteFile): a crash
@@ -194,18 +195,6 @@ TuningCheckpoint decodeCheckpoint(const std::string& text);
  */
 bool saveCheckpoint(const std::string& path, const TuningCheckpoint& cp,
                     obs::MetricsRegistry* metrics = nullptr);
-
-/**
- * A tuning loop's per-round save: buildCheckpoint() + saveCheckpoint().
- * @p record_lines carries the record lines across a loop's saves (start
- * it empty), so each save formats only the records measured since the
- * previous one; everything else is dropped after the write, so nothing
- * but the lines stays resident between saves.
- */
-bool saveRoundCheckpoint(const std::string& path,
-                         const CheckpointSources& src,
-                         std::vector<std::string>* record_lines,
-                         obs::MetricsRegistry* metrics);
 
 /**
  * Load a checkpoint for the run identified by @p expected_fingerprint.

@@ -7,6 +7,7 @@
 
 #include "obs/metrics.hpp"
 #include "support/logging.hpp"
+#include "support/stats.hpp"
 
 namespace pruner {
 
@@ -110,7 +111,7 @@ EvolutionarySearch::run(const EvolutionConfig& config, const ScoreFn& score,
             order[i] = i;
         }
         std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-            return scores[a] > scores[b];
+            return greaterNanLast(scores[a], scores[b]);
         });
         double mx = scores[order.front()];
         double mn = scores[order.back()];
@@ -149,7 +150,7 @@ EvolutionarySearch::run(const EvolutionConfig& config, const ScoreFn& score,
         out.push_back(std::move(scored));
     }
     std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-        return a.score > b.score;
+        return greaterNanLast(a.score, b.score);
     });
     if (out.size() > config.out_size) {
         out.resize(config.out_size);

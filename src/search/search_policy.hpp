@@ -2,8 +2,8 @@
 
 /**
  * @file search_policy.hpp
- * The abstract tuner interface plus the shared evolution+cost-model tuning
- * loop used by the Ansor / TenSetMLP / TLP / MetaSchedule baselines.
+ * The abstract tuner interface plus the evolution+cost-model policy used
+ * by the Ansor / TenSetMLP / TLP / MetaSchedule baselines.
  *
  * A SearchPolicy tunes a whole workload: each round it picks one subgraph
  * (gradient-based task scheduler), explores its schedule space, measures a
@@ -185,25 +185,6 @@ struct TuneResult
  *  task has no measurement. */
 double workloadBest(const Workload& workload, const TuningRecordDb& db);
 
-class ThreadPool;
-
-/** Observability plumbing shared by every policy's tune() loop. */
-namespace obs_detail {
-
-/** Publish pool Execution-channel gauges (worker count, jobs, peak queue
- *  depth). No-op when @p pool is null. */
-void exportPoolStats(obs::MetricsRegistry& metrics, const ThreadPool* pool);
-
-/** Publish the dispatched nn kernel tiers as Execution-channel labels. */
-void exportKernelTiers(obs::MetricsRegistry& metrics);
-
-/** Fill TuneResult's counter fields (trials, cache_hits, warm_records,
- *  injected_faults, ...) from the per-run registry snapshot. */
-void fillResultCounters(TuneResult& result,
-                        const obs::MetricsRegistry& metrics);
-
-} // namespace obs_detail
-
 /** Abstract workload tuner. */
 class SearchPolicy
 {
@@ -222,7 +203,7 @@ class SearchPolicy
     virtual std::string replayConfig() const { return ""; }
 };
 
-/** Configuration of the shared evolution-based tuning loop. */
+/** Configuration of EvoCostModelPolicy. */
 struct EvoPolicyConfig
 {
     EvolutionConfig evolution; ///< population/iterations of the GA
@@ -236,9 +217,9 @@ struct EvoPolicyConfig
 };
 
 /**
- * The shared tuning loop: evolutionary search scored by a learned cost
- * model over the full population. Ansor, TenSetMLP, TLP, MetaSchedule and
- * Adatune are this loop with different models/options.
+ * Evolutionary search scored by a learned cost model over the full
+ * population, run by a TuningSession. Ansor, TenSetMLP, TLP, MetaSchedule
+ * and Adatune are this policy with different models/options.
  */
 class EvoCostModelPolicy : public SearchPolicy
 {
@@ -272,11 +253,6 @@ class EvoCostModelPolicy : public SearchPolicy
     /** Hook: can this policy tune the given task at all? Baselines with
      *  operator-coverage gaps override this (Figure 8's X marks). */
     virtual bool supportsTask(const SubgraphTask& task) const;
-
-    /** Hook: scores candidates; default defers to the cost model. */
-    virtual std::vector<double>
-    scoreCandidates(const SubgraphTask& task,
-                    std::span<const Schedule> candidates) const;
 
     std::string name_;
     DeviceSpec device_;

@@ -5,6 +5,7 @@
  * Small statistics helpers used across the library and the benches.
  */
 
+#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -33,6 +34,22 @@ double spearman(const std::vector<double>& a, const std::vector<double>& b);
 
 /** Ranks with ties broken by average rank (1-based), used by spearman(). */
 std::vector<double> rankWithTies(const std::vector<double>& v);
+
+/**
+ * Descending comparator for model scores that stays a strict weak order
+ * when a diverged model emits NaN (a bare `a > b` does not, which is
+ * undefined behaviour in std::sort): NaN ranks after every number, and
+ * between two numbers the result is exactly `a > b`, so a NaN-free sort
+ * makes the same comparisons and gives the same permutation.
+ */
+inline bool
+greaterNanLast(double a, double b)
+{
+    if (std::isnan(a)) {
+        return false;
+    }
+    return std::isnan(b) || a > b;
+}
 
 /** Exponential moving average accumulator. */
 class Ema

@@ -105,7 +105,9 @@ testTask()
 std::vector<Schedule>
 sampleSchedules(size_t n, uint64_t seed = 91)
 {
-    ScheduleSampler sampler(testTask(), DeviceSpec::a100());
+    // The sampler keeps the device's address: it must outlive the sampler.
+    const DeviceSpec device = DeviceSpec::a100();
+    ScheduleSampler sampler(testTask(), device);
     Rng rng(seed);
     return sampler.sampleMany(rng, n);
 }

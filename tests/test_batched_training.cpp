@@ -155,7 +155,9 @@ expectTrainingIdentity(const Args&... args)
             << batched.name() << " weights diverged at " << n << " records";
         // Post-train predictions: batched engine vs per-candidate loop.
         const auto& task = records.front().task;
-        ScheduleSampler sampler(task, DeviceSpec::a100());
+        // The sampler keeps the device's address: it must outlive it.
+        const DeviceSpec device = DeviceSpec::a100();
+        ScheduleSampler sampler(task, device);
         Rng rng(n + 11);
         const auto cands = sampler.sampleMany(rng, 32);
         EXPECT_TRUE(bitwiseEqual(batched.predict(task, cands),

@@ -7,7 +7,11 @@
 
 #include <cmath>
 #include <filesystem>
+#include <functional>
 #include <limits>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "baselines/ansor.hpp"
 #include "core/pruner_tuner.hpp"
@@ -374,6 +378,90 @@ TEST(FaultInjection, TunersSurviveFaultStorm)
     EXPECT_FALSE(rp.failed);
     EXPECT_TRUE(std::isfinite(rp.final_latency));
     EXPECT_GT(rp.injected_faults, 0u);
+}
+
+/** True when the ArtifactDb under @p root holds any model checkpoint
+ *  (<root>/models/<key>.params). */
+bool
+hasModelCheckpoint(const std::filesystem::path& root)
+{
+    const std::filesystem::path models = root / "models";
+    if (!std::filesystem::exists(models)) {
+        return false;
+    }
+    for (const auto& entry : std::filesystem::directory_iterator(models)) {
+        if (entry.path().extension() == ".params") {
+            return true;
+        }
+    }
+    return false;
+}
+
+TEST(FailureInjection, DivergedModelFailsRunAndIsNotPersisted)
+{
+    // A cost model that emits NaN has lost its search signal (TLP does
+    // this when fine-tuned on little data). Pruner and Ansor alike must
+    // report the run failed and keep the weights out of the ArtifactDb,
+    // where the next warm-started run would restore them. The healthy run
+    // under the same options proves the store does get a checkpoint
+    // otherwise.
+    const auto dev = DeviceSpec::a100();
+    Workload w = workloads::resnet50();
+    w.tasks.resize(2);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    PrunerConfig pruner_config;
+    pruner_config.lse.spec_size = 64;
+    const size_t pacm_params =
+        PrunerPolicy(dev, pruner_config).model().getParams().size();
+    const struct
+    {
+        const char* name;
+        int rounds;
+        std::function<std::unique_ptr<SearchPolicy>(bool)> make;
+    } rows[] = {
+        {"pruner", 3,
+         [&](bool diverged) -> std::unique_ptr<SearchPolicy> {
+             PrunerConfig config = pruner_config;
+             if (diverged) {
+                 config.pretrained.assign(pacm_params, nan);
+             }
+             return std::make_unique<PrunerPolicy>(dev, config);
+         }},
+        // NaN scores already stop Ansor's evolution at the first weighted
+        // draw, so this row runs no rounds: it checks the finish alone.
+        {"ansor", 0,
+         [&](bool diverged) {
+             auto policy = baselines::makeAnsor(dev, 7);
+             if (diverged) {
+                 CostModel& model =
+                     static_cast<EvoCostModelPolicy&>(*policy).model();
+                 model.setParams(
+                     std::vector<double>(model.getParams().size(), nan));
+             }
+             return policy;
+         }},
+    };
+    for (const auto& row : rows) {
+        for (const bool diverged : {false, true}) {
+            SCOPED_TRACE(std::string(row.name) +
+                         (diverged ? "/diverged" : "/healthy"));
+            const std::filesystem::path root =
+                std::filesystem::temp_directory_path() /
+                (std::string("pruner_test_diverged_") + row.name);
+            std::filesystem::remove_all(root);
+            TuneOptions opts;
+            opts.rounds = row.rounds;
+            opts.online_training = false;
+            opts.artifact_db_path = root.string();
+            opts.reuse_model_checkpoint = true;
+            const TuneResult result = row.make(diverged)->tune(w, opts);
+            EXPECT_EQ(result.failed, diverged);
+            EXPECT_EQ(result.failure_reason,
+                      diverged ? "cost model diverged" : "");
+            EXPECT_EQ(hasModelCheckpoint(root), !diverged);
+            std::filesystem::remove_all(root);
+        }
+    }
 }
 
 TEST(Determinism, IdenticalSeedsGiveIdenticalResults)

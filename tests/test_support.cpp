@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "support/io.hpp"
 #include "support/logging.hpp"
@@ -252,6 +255,42 @@ TEST(Stats, InfinityEdgeCases)
     // Ranks are finite even when values are not — spearman still orders.
     EXPECT_NEAR(spearman({1.0, 2.0, inf}, {10.0, 20.0, 30.0}), 1.0,
                 1e-12);
+}
+
+TEST(Stats, GreaterNanLastOrdersNanAfterEveryNumber)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    std::vector<double> mixed{1.0, nan, -inf, 3.0, nan, inf, -2.0, 3.0, nan};
+    std::sort(mixed.begin(), mixed.end(), greaterNanLast);
+    const std::vector<double> numbers{inf, 3.0, 3.0, 1.0, -2.0, -inf};
+    for (size_t i = 0; i < numbers.size(); ++i) {
+        EXPECT_EQ(mixed[i], numbers[i]) << "position " << i;
+    }
+    for (size_t i = numbers.size(); i < mixed.size(); ++i) {
+        EXPECT_TRUE(std::isnan(mixed[i])) << "position " << i;
+    }
+}
+
+TEST(Stats, GreaterNanLastKeepsTheNanFreePermutation)
+{
+    // Many ties, so an unstable sort exposes any comparison that differs
+    // from a bare `>`: the index permutations must be identical.
+    Rng rng(5);
+    std::vector<double> scores(600);
+    for (double& s : scores) {
+        s = static_cast<double>(rng.index(40)) - 20.0;
+    }
+    std::vector<size_t> bare(scores.size());
+    std::iota(bare.begin(), bare.end(), 0);
+    std::vector<size_t> safe = bare;
+    std::sort(bare.begin(), bare.end(), [&](size_t a, size_t b) {
+        return scores[a] > scores[b];
+    });
+    std::sort(safe.begin(), safe.end(), [&](size_t a, size_t b) {
+        return greaterNanLast(scores[a], scores[b]);
+    });
+    EXPECT_TRUE(safe == bare);
 }
 
 TEST(Logging, ParseLogLevelAcceptsNumbersAndNames)

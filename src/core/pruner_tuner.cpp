@@ -70,14 +70,14 @@ PrunerPolicy::tune(const Workload& workload, const TuneOptions& opts)
                            .online_training = config_.online_finetune,
                            .moa = moa.get(),
                            .moa_train_every = config_.moa_train_every});
+    LseConfig lse_config = config_.lse;
+    lse_config.score_pool = session.pool();
+    lse_config.metrics = &session.metrics;
+    lse_config.explorer = session.explorer.get();
     // The draft step (Algorithm 1's draft and verify): LSE drafts every
     // picked task first, then PaCM verifies each draft and its batch is
     // selected.
     return session.run([&](int round, const std::vector<size_t>& picked) {
-        LseConfig lse_config = config_.lse;
-        lse_config.score_pool = session.pool();
-        lse_config.metrics = &session.metrics;
-        lse_config.explorer = session.explorer.get();
         SimClock& clock = session.clock;
         Rng& rng = session.rng;
 

@@ -115,6 +115,8 @@ EvoCostModelPolicy::tune(const Workload& workload, const TuneOptions& opts)
          .adaptive_measurement = config_.adaptive_measurement,
          .adaptive_time_scale = config_.adaptive_time_scale,
          .adaptive_extra_noise = config_.adaptive_extra_noise});
+    EvolutionConfig evo = config_.evolution;
+    evo.metrics = &session.metrics;
     // The draft step: the explorer scores its population with the model
     // inline (the evolution's fitness slices fan out across the shared
     // pool), and each task's batch is selected right after its draft. The
@@ -123,8 +125,6 @@ EvoCostModelPolicy::tune(const Workload& workload, const TuneOptions& opts)
     return session.run([&](int round, const std::vector<size_t>& picked) {
         // Round-boundary weight swap, before the round's first predict.
         session.syncModel(round);
-        EvolutionConfig evo = config_.evolution;
-        evo.metrics = &session.metrics;
         std::vector<RoundSlot> slots;
         slots.reserve(picked.size());
         const double draft_begin_s =

@@ -171,8 +171,8 @@ TEST_F(CheckpointTest, MidRunResumeIsByteIdenticalForEveryVariant)
     const Workload w = smallWorkload();
     const ResumeCase cases[] = {
         {"pruner", prunerVariant(false, true)},
-        // The MoA Siamese parameters and their RNG lineage ride in the
-        // checkpoint too; MoA trains synchronously even with async set.
+        // The MoA Siamese parameters ride in the checkpoint too; MoA
+        // trains synchronously even with async set.
         {"moa", prunerVariant(true, true)},
         // PaCM scores the whole GA population inside the draft.
         {"pruner_nolse", prunerVariant(false, false)},
@@ -204,14 +204,21 @@ TEST_F(CheckpointTest, MidRunResumeIsByteIdenticalForEveryVariant)
         ASSERT_TRUE(fs::exists(kCkptPath));
 
         // Resume the round-2 checkpoint at 1, 2 and 4 workers: the pinned
-        // clock lanes make every resumed trajectory byte-identical.
+        // clock lanes make every resumed trajectory byte-identical. A
+        // cold start would match too, so the resume itself is asserted.
         for (const int workers : {1, 2, 4}) {
             TuneOptions resume = baseOptions();
             resume.resume_from = kCkptPath;
             resume.measure_workers = workers;
             resume.async_training = workers > 1;
+            obs::MetricsRegistry metrics;
+            resume.metrics = &metrics;
             const TuneResult resumed = c.make()->tune(w, resume);
             EXPECT_EQ(resultSignature(resumed), resultSignature(golden))
+                << "workers=" << workers;
+            EXPECT_EQ(metrics.snapshot().counterValue(
+                          "checkpoint_resumes_total"),
+                      1u)
                 << "workers=" << workers;
         }
     }

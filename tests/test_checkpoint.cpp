@@ -148,11 +148,13 @@ TEST_F(CheckpointTest, ResumeFromFinalCheckpointRebuildsResult)
 }
 
 /** A resumable policy variant; make() builds an identical fresh policy
- *  for each run. */
+ *  for each run, which drafts with @p explorer ("" = evolution). */
 struct ResumeCase
 {
     const char* name;
     std::function<std::unique_ptr<SearchPolicy>()> make;
+    const char* explorer = "";
+    const char* explorer_config = "";
 };
 
 std::function<std::unique_ptr<SearchPolicy>()>
@@ -179,17 +181,29 @@ TEST_F(CheckpointTest, MidRunResumeIsByteIdenticalForEveryVariant)
         {"ansor", [] { return baselines::makeAnsor(DeviceSpec::a100(), 9); }},
         {"adatune",
          [] { return baselines::makeAdatune(DeviceSpec::a100(), 9); }},
+        // gbt is the one explorer with state of its own: its training
+        // window rides in the checkpoint's exp line. The surrogate drafts
+        // from round 2, so the resumed rounds refit it from that window.
+        {"ansor_gbt",
+         [] { return baselines::makeAnsor(DeviceSpec::a100(), 9); }, "gbt",
+         "min_records=8,trees=8"},
     };
     for (const ResumeCase& c : cases) {
         SCOPED_TRACE(c.name);
         removeCheckpointFiles();
-        const TuneResult golden = c.make()->tune(w, baseOptions());
+        const auto caseOptions = [&c] {
+            TuneOptions opts = baseOptions();
+            opts.explorer = c.explorer;
+            opts.explorer_config = c.explorer_config;
+            return opts;
+        };
+        const TuneResult golden = c.make()->tune(w, caseOptions());
 
         // Interval 2 over 4 rounds saves after round 2 (write op 0) and
         // after the final round (write op 1). Failing op 1 freezes the
         // file at the round-2 state — exactly what a kill between the two
         // saves leaves behind.
-        TuneOptions opts = baseOptions();
+        TuneOptions opts = caseOptions();
         opts.checkpoint_interval = 2;
         opts.checkpoint_path = kCkptPath;
         io::IoFaultPlan plan;
@@ -202,12 +216,15 @@ TEST_F(CheckpointTest, MidRunResumeIsByteIdenticalForEveryVariant)
         // itself still matches the golden run.
         EXPECT_EQ(resultSignature(interrupted), resultSignature(golden));
         ASSERT_TRUE(fs::exists(kCkptPath));
+        EXPECT_EQ(decodeCheckpoint(readFileBytes(kCkptPath))
+                      .explorer_blob.empty(),
+                  *c.explorer == '\0');
 
         // Resume the round-2 checkpoint at 1, 2 and 4 workers: the pinned
         // clock lanes make every resumed trajectory byte-identical. A
         // cold start would match too, so the resume itself is asserted.
         for (const int workers : {1, 2, 4}) {
-            TuneOptions resume = baseOptions();
+            TuneOptions resume = caseOptions();
             resume.resume_from = kCkptPath;
             resume.measure_workers = workers;
             resume.async_training = workers > 1;

@@ -177,6 +177,37 @@ TEST(Explorer, EvolutionByteIdenticalToPreRefactorGoldens)
     }
 }
 
+/** The gbt explorer's end-lines on the golden setup, captured at commit
+ *  5ff1a24 (before the bayes and portfolio explorers were deleted). With
+ *  min_records=20 the surrogate drafts from round 3 of 6, so the lines pin
+ *  its fitted trees as well as the cold-start fallback. */
+const GoldenCase kGbtGolden[] = {
+    {"gbt_pruner_w1", 1, Kind::Pruner,
+     "end\tfinal=3f06f0e3662a571e\ttotal=406614816f0068dc\texpl="
+     "4010902de00d1b71\ttrain=4036800000000000\tmeas=4059800000000000\t"
+     "compile=4048000000000000\ttrials=60\tfailed=0\thits=0\tsim=60\t"
+     "injected=0\twarm=0\tcurve_n=5\tcurve=47778b17a9aeced5\tper_task="
+     "40263b6e63da6c17\tmodel=884b5643687a0e70\tok=1"},
+    {"gbt_ansor_w1", 1, Kind::Ansor,
+     "end\tfinal=3f1413a9ca34a97d\ttotal=406ba26e978d4fe0\texpl="
+     "404f7ced916872b1\ttrain=4020333333333334\tmeas=4059800000000000\t"
+     "compile=4048000000000000\ttrials=60\tfailed=0\thits=0\tsim=60\t"
+     "injected=0\twarm=0\tcurve_n=5\tcurve=f2ecea16acd925a3\tper_task="
+     "985844c72037df00\tmodel=04d115efedde26db\tok=1"},
+};
+constexpr const char* kGbtGoldenConfig = "min_records=20,trees=16";
+
+TEST(Explorer, GbtByteIdenticalToGoldens)
+{
+    for (const GoldenCase& c : kGbtGolden) {
+        SCOPED_TRACE(c.name);
+        const SessionLog log = runGoldenCase(c, "gbt", kGbtGoldenConfig);
+        const SessionEvent* end = log.find("end");
+        ASSERT_NE(end, nullptr);
+        EXPECT_EQ(end->line, c.end_line);
+    }
+}
+
 TEST(Explorer, ExplicitEvolutionKeyMatchesDefault)
 {
     const SessionLog a = runGoldenCase(kGolden[0], "");

@@ -14,8 +14,8 @@
  * must hold under concurrent re-execution, not just in isolation.
  *
  * The optional [explorer] argument records every session with that
- * draft-stage explorer (any ExplorerRegistry key, e.g. "portfolio"), so
- * the fleet exercises replay of non-default explorer trajectories too.
+ * draft-stage explorer ("evolution" or "gbt", see makeExplorer), so the
+ * fleet exercises replay of non-default explorer trajectories too.
  */
 
 #include <chrono>

@@ -784,138 +784,6 @@ matmulTNAccAvx512(const double* a, size_t rows, size_t acols, size_t lda,
 #pragma GCC diagnostic pop
 
 /**
- * AVX2 fused partial kernel (see matmulTNAddPartial): for each C panel a
- * local accumulator runs over all segment rows in ascending order, then
- * lands in C with a single add — one C pass per call. The B panel
- * (segment rows x j panel) stays L1-resident across the i loop.
- */
-__attribute__((target("avx2"))) void
-matmulTNAddPartialAvx2(const double* a, size_t rows, size_t acols,
-                       size_t lda, const double* b, size_t bcols,
-                       size_t ldb, double* c, size_t ldc)
-{
-    for (size_t i = 0; i < acols; ++i) {
-        double* crow = c + i * ldc;
-        size_t j = 0;
-        for (; j + 4 <= bcols; j += 4) {
-            __m256d acc = _mm256_setzero_pd();
-            for (size_t r = 0; r < rows; ++r) {
-                const __m256d va = _mm256_set1_pd(a[r * lda + i]);
-                acc = _mm256_add_pd(
-                    acc, _mm256_mul_pd(va, _mm256_loadu_pd(b + r * ldb + j)));
-            }
-            _mm256_storeu_pd(crow + j,
-                             _mm256_add_pd(_mm256_loadu_pd(crow + j), acc));
-        }
-        for (; j < bcols; ++j) {
-            double acc = 0.0;
-            for (size_t r = 0; r < rows; ++r) {
-                acc += a[r * lda + i] * b[r * ldb + j];
-            }
-            crow[j] += acc;
-        }
-    }
-}
-
-/** AVX-512 tier of the fused partial kernel: 8-wide j panels, remainder
- *  through the AVX2 panel then scalar — same per-element term order. */
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-__attribute__((target("avx512f"))) void
-matmulTNAddPartialAvx512(const double* a, size_t rows, size_t acols,
-                         size_t lda, const double* b, size_t bcols,
-                         size_t ldb, double* c, size_t ldc)
-{
-    if (bcols == 64) {
-        // The models' layer width: the whole C row is eight zmm panels,
-        // giving eight independent accumulator chains per A column (the
-        // per-panel chain is rounding-ordered, so it cannot be split —
-        // but panels are independent, which hides the add latency) and
-        // one broadcast per term shared across the row.
-        for (size_t i = 0; i < acols; ++i) {
-            __m512d p0 = _mm512_setzero_pd();
-            __m512d p1 = _mm512_setzero_pd();
-            __m512d p2 = _mm512_setzero_pd();
-            __m512d p3 = _mm512_setzero_pd();
-            __m512d p4 = _mm512_setzero_pd();
-            __m512d p5 = _mm512_setzero_pd();
-            __m512d p6 = _mm512_setzero_pd();
-            __m512d p7 = _mm512_setzero_pd();
-            for (size_t r = 0; r < rows; ++r) {
-                const __m512d va = _mm512_set1_pd(a[r * lda + i]);
-                const double* brow = b + r * ldb;
-                p0 = _mm512_add_pd(
-                    p0, _mm512_mul_pd(va, _mm512_loadu_pd(brow)));
-                p1 = _mm512_add_pd(
-                    p1, _mm512_mul_pd(va, _mm512_loadu_pd(brow + 8)));
-                p2 = _mm512_add_pd(
-                    p2, _mm512_mul_pd(va, _mm512_loadu_pd(brow + 16)));
-                p3 = _mm512_add_pd(
-                    p3, _mm512_mul_pd(va, _mm512_loadu_pd(brow + 24)));
-                p4 = _mm512_add_pd(
-                    p4, _mm512_mul_pd(va, _mm512_loadu_pd(brow + 32)));
-                p5 = _mm512_add_pd(
-                    p5, _mm512_mul_pd(va, _mm512_loadu_pd(brow + 40)));
-                p6 = _mm512_add_pd(
-                    p6, _mm512_mul_pd(va, _mm512_loadu_pd(brow + 48)));
-                p7 = _mm512_add_pd(
-                    p7, _mm512_mul_pd(va, _mm512_loadu_pd(brow + 56)));
-            }
-            double* crow = c + i * ldc;
-            _mm512_storeu_pd(
-                crow, _mm512_add_pd(_mm512_loadu_pd(crow), p0));
-            _mm512_storeu_pd(
-                crow + 8, _mm512_add_pd(_mm512_loadu_pd(crow + 8), p1));
-            _mm512_storeu_pd(
-                crow + 16, _mm512_add_pd(_mm512_loadu_pd(crow + 16), p2));
-            _mm512_storeu_pd(
-                crow + 24, _mm512_add_pd(_mm512_loadu_pd(crow + 24), p3));
-            _mm512_storeu_pd(
-                crow + 32, _mm512_add_pd(_mm512_loadu_pd(crow + 32), p4));
-            _mm512_storeu_pd(
-                crow + 40, _mm512_add_pd(_mm512_loadu_pd(crow + 40), p5));
-            _mm512_storeu_pd(
-                crow + 48, _mm512_add_pd(_mm512_loadu_pd(crow + 48), p6));
-            _mm512_storeu_pd(
-                crow + 56, _mm512_add_pd(_mm512_loadu_pd(crow + 56), p7));
-        }
-        return;
-    }
-    for (size_t i = 0; i < acols; ++i) {
-        double* crow = c + i * ldc;
-        size_t j = 0;
-        for (; j + 8 <= bcols; j += 8) {
-            __m512d acc = _mm512_setzero_pd();
-            for (size_t r = 0; r < rows; ++r) {
-                const __m512d va = _mm512_set1_pd(a[r * lda + i]);
-                acc = _mm512_add_pd(
-                    acc, _mm512_mul_pd(va, _mm512_loadu_pd(b + r * ldb + j)));
-            }
-            _mm512_storeu_pd(crow + j,
-                             _mm512_add_pd(_mm512_loadu_pd(crow + j), acc));
-        }
-        for (; j + 4 <= bcols; j += 4) {
-            __m256d acc = _mm256_setzero_pd();
-            for (size_t r = 0; r < rows; ++r) {
-                const __m256d va = _mm256_set1_pd(a[r * lda + i]);
-                acc = _mm256_add_pd(
-                    acc, _mm256_mul_pd(va, _mm256_loadu_pd(b + r * ldb + j)));
-            }
-            _mm256_storeu_pd(crow + j,
-                             _mm256_add_pd(_mm256_loadu_pd(crow + j), acc));
-        }
-        for (; j < bcols; ++j) {
-            double acc = 0.0;
-            for (size_t r = 0; r < rows; ++r) {
-                acc += a[r * lda + i] * b[r * ldb + j];
-            }
-            crow[j] += acc;
-        }
-    }
-}
-#pragma GCC diagnostic pop
-
-/**
  * Segment-blocked dW kernels (see matmulTNSegBlocked): C panels live in
  * registers across the whole segment run — per (i, j) panel the
  * accumulator is loaded once, every segment folds in through a local
@@ -1440,8 +1308,9 @@ matchesNaiveKernelNT(MatmulNTFn fn)
     return std::memcmp(fast, naive, sizeof(fast)) == 0;
 }
 
-/** Frozen composed-ops fallback for matmulTNAddPartial: per element, the
- *  exact matmulTN chain (ascending r, zero-skip) then one add into C. */
+/** Frozen composed-ops per-segment partial, the multi-row step of
+ *  matmulTNSegBlockedNaive: per element, the exact matmulTN chain
+ *  (ascending r, zero-skip) then one add into C. */
 void
 matmulTNAddPartialNaive(const double* a, size_t rows, size_t acols,
                         size_t lda, const double* b, size_t bcols,
@@ -1698,26 +1567,6 @@ pickKernelTNAcc()
     return {matmulTNAccNaive, "naive"};
 }
 
-PickedMatmulNT
-pickKernelTNAddPartial()
-{
-    if (__builtin_cpu_supports("avx512f")) {
-        if (matchesAccumulatingReference(matmulTNAddPartialAvx512,
-                                         matmulTNAddPartialNaive)) {
-            return {matmulTNAddPartialAvx512, "avx512"};
-        }
-        noteTierDemotion();
-    }
-    if (__builtin_cpu_supports("avx2")) {
-        if (matchesAccumulatingReference(matmulTNAddPartialAvx2,
-                                         matmulTNAddPartialNaive)) {
-            return {matmulTNAddPartialAvx2, "avx2"};
-        }
-        noteTierDemotion();
-    }
-    return {matmulTNAddPartialNaive, "naive"};
-}
-
 PickedMatmulTNSeg
 pickKernelTNSeg()
 {
@@ -1756,12 +1605,6 @@ pickKernelTNAcc()
     return {matmulTNAccNaive, "naive"};
 }
 
-PickedMatmulNT
-pickKernelTNAddPartial()
-{
-    return {matmulTNAddPartialNaive, "naive"};
-}
-
 PickedMatmulTNSeg
 pickKernelTNSeg()
 {
@@ -1792,13 +1635,6 @@ pickedKernelTNAcc()
     return kernel;
 }
 
-const PickedMatmulNT&
-pickedKernelTNAddPartial()
-{
-    static const PickedMatmulNT kernel = pickKernelTNAddPartial();
-    return kernel;
-}
-
 const PickedMatmulTNSeg&
 pickedKernelTNSeg()
 {
@@ -1812,8 +1648,7 @@ KernelTiers
 kernelTiers()
 {
     return {pickedKernel().tier, pickedKernelNT().tier,
-            pickedKernelTNAcc().tier, pickedKernelTNAddPartial().tier,
-            pickedKernelTNSeg().tier};
+            pickedKernelTNAcc().tier, pickedKernelTNSeg().tier};
 }
 
 size_t
@@ -1882,15 +1717,6 @@ matmulTNAcc(const double* a, size_t rows, size_t acols, size_t lda,
             const double* b, size_t bcols, size_t ldb, double* c, size_t ldc)
 {
     pickedKernelTNAcc().fn(a, rows, acols, lda, b, bcols, ldb, c, ldc);
-}
-
-void
-matmulTNAddPartial(const double* a, size_t rows, size_t acols, size_t lda,
-                   const double* b, size_t bcols, size_t ldb, double* c,
-                   size_t ldc)
-{
-    pickedKernelTNAddPartial().fn(a, rows, acols, lda, b, bcols, ldb, c,
-                                  ldc);
 }
 
 void

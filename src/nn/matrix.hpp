@@ -94,20 +94,6 @@ void matmulTNAccNaive(const double* a, size_t rows, size_t acols,
                       double* c, size_t ldc);
 
 /**
- * Fused per-segment gradient partial: C[i,j] += P[i,j] where
- * P[i,j] = sum_r A[r,i] * B[r,j] is built in a local accumulator from
- * zero (terms in ascending r, separate mul/add roundings) and added to C
- * in ONE rounding — exactly `grad.add(Matrix::matmulTN(x_seg, dy_seg))`
- * without materializing the partial matrix (one pass over C instead of
- * zero + accumulate + add). Same finite-input / no -0.0-in-C contract as
- * matmulTNAcc; dispatched with a startup self-check against the composed
- * naive ops.
- */
-void matmulTNAddPartial(const double* a, size_t rows, size_t acols,
-                        size_t lda, const double* b, size_t bcols,
-                        size_t ldb, double* c, size_t ldc);
-
-/**
  * Segment-blocked dW reduction: one call covers a whole contiguous
  * segment run. A and B are the packed [sum(seg_rows), acols/bcols]
  * operands; segment s spans the next seg_rows[s] rows of both. For every
@@ -115,10 +101,10 @@ void matmulTNAddPartial(const double* a, size_t rows, size_t acols,
  * (ascending) builds the segment's partial sum_r A[r,i] * B[r,j] in a
  * local register (terms in ascending r, separate mul/add roundings) and
  * folds it in with a single add, and finally stores ONCE — the exact
- * per-element rounding chain of calling matmulTNAddPartial per segment
- * (and, for one-row segments, of matmulTNAcc: a one-row partial is a
- * single product, so 0 + p == p and C + (+0) == C + (-0) == C under the
- * no--0.0-in-C contract). Replaces the per-segment load/add/store C
+ * per-element rounding chain of `grad.add(Matrix::matmulTN(x_seg,
+ * dy_seg))` per segment (and, for one-row segments, of matmulTNAcc: a
+ * one-row partial is a single product, so 0 + p == p and
+ * C + (+0) == C + (-0) == C under the no--0.0-in-C contract). Replaces the per-segment load/add/store C
  * traffic of the batched backward with one C pass per pack. Same
  * finite-input / no -0.0-in-C contract as matmulTNAcc; dispatched with a
  * startup self-check against the composed per-segment naive kernels and
@@ -148,7 +134,7 @@ void matmulNaive(const double* a, size_t m, size_t k, size_t lda,
                  const double* b, size_t n, size_t ldb, double* c,
                  size_t ldc);
 
-/** Tier names of the five dispatched GEMM kernels on this host (e.g.
+/** Tier names of the four dispatched GEMM kernels on this host (e.g.
  *  "avx512", "avx2", "scalar", "naive") — the result of the startup
  *  self-check dispatch, for observability (/metrics labels, tune
  *  reports). Forces the dispatch on first call. */
@@ -157,7 +143,6 @@ struct KernelTiers
     const char* matmul;
     const char* matmul_nt;
     const char* matmul_tn_acc;
-    const char* matmul_tn_add_partial;
     const char* matmul_tn_seg;
 };
 KernelTiers kernelTiers();

@@ -170,60 +170,6 @@ tuneReport(const TuneResult& result, const MetricsSnapshot& metrics)
         }
     }
 
-    // Portfolio explorer accounting: one row per arm with its share of
-    // propose() calls and how many per-task races it won. The counters
-    // are keyed by arm ("portfolio_arm_<key>_calls_total",
-    // "portfolio_winner_<key>_total"); the snapshot's sorted order keeps
-    // the rows deterministic.
-    struct ArmRow
-    {
-        std::string key;
-        uint64_t calls = 0;
-        uint64_t wins = 0;
-    };
-    std::vector<ArmRow> arms;
-    uint64_t total_calls = 0;
-    constexpr const char* kCallsPrefix = "portfolio_arm_";
-    constexpr const char* kCallsSuffix = "_calls_total";
-    for (const MetricsSnapshot::CounterValue& c : metrics.counters) {
-        if (c.name.rfind(kCallsPrefix, 0) != 0) {
-            continue;
-        }
-        const size_t prefix_len = std::string(kCallsPrefix).size();
-        const size_t suffix_len = std::string(kCallsSuffix).size();
-        if (c.name.size() <= prefix_len + suffix_len ||
-            c.name.compare(c.name.size() - suffix_len, suffix_len,
-                           kCallsSuffix) != 0) {
-            continue;
-        }
-        ArmRow row;
-        row.key = c.name.substr(prefix_len,
-                                c.name.size() - prefix_len - suffix_len);
-        row.calls = c.value;
-        for (const MetricsSnapshot::CounterValue& w : metrics.counters) {
-            if (w.name == "portfolio_winner_" + row.key + "_total") {
-                row.wins = w.value;
-                break;
-            }
-        }
-        total_calls += row.calls;
-        arms.push_back(std::move(row));
-    }
-    if (!arms.empty()) {
-        out << "portfolio arms (" << total_calls << " draft calls):\n";
-        for (const ArmRow& row : arms) {
-            char line[160];
-            std::snprintf(line, sizeof(line),
-                          "  %-10s calls %-6" PRIu64 " %s  wins %" PRIu64,
-                          row.key.c_str(), row.calls,
-                          pct(static_cast<double>(row.calls),
-                              static_cast<double>(total_calls))
-                              .c_str(),
-                          row.wins);
-            out << line << "\n";
-        }
-    }
-
     // Kernel-tier demotions: a GEMM tier the CPU supports failed its
     // startup byte-identity self-check and the engine silently fell back
     // to a slower tier. Always worth a loud line — it usually means a

@@ -106,6 +106,8 @@ EvolutionarySearch::run(const EvolutionConfig& config, const ScoreFn& score,
         }
 
         // Selection weights: softmax over scores (temperature by spread).
+        // A NaN score (a diverged model) gets weight 0 and stays out of
+        // the spread; an all-NaN population then draws uniformly.
         std::vector<size_t> order(population.size());
         for (size_t i = 0; i < order.size(); ++i) {
             order[i] = i;
@@ -113,12 +115,20 @@ EvolutionarySearch::run(const EvolutionConfig& config, const ScoreFn& score,
         std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
             return greaterNanLast(scores[a], scores[b]);
         });
-        double mx = scores[order.front()];
-        double mn = scores[order.back()];
-        const double spread = std::max(mx - mn, 1e-12);
-        std::vector<double> weights(population.size());
-        for (size_t i = 0; i < population.size(); ++i) {
-            weights[i] = std::exp(2.0 * (scores[i] - mx) / spread);
+        size_t n_scored = order.size();
+        while (n_scored > 0 && std::isnan(scores[order[n_scored - 1]])) {
+            --n_scored;
+        }
+        std::vector<double> weights(population.size(), 0.0);
+        if (n_scored > 0) {
+            const double mx = scores[order.front()];
+            const double mn = scores[order[n_scored - 1]];
+            const double spread = std::max(mx - mn, 1e-12);
+            for (size_t i = 0; i < population.size(); ++i) {
+                if (!std::isnan(scores[i])) {
+                    weights[i] = std::exp(2.0 * (scores[i] - mx) / spread);
+                }
+            }
         }
 
         std::vector<Schedule> next;

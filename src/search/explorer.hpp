@@ -2,13 +2,13 @@
 
 /**
  * @file explorer.hpp
- * Pluggable draft-stage explorers.
+ * Draft-stage explorers.
  *
  * The draft-then-verify mechanism is agnostic to *how* draft candidates
- * are proposed: the paper's evolutionary loop is one strategy, but a
- * Bayesian-optimization walk over the tiling space or a boosted-trees
- * surrogate explores the same space with a different cost/quality
- * trade-off. An Explorer abstracts the draft stage behind one call:
+ * are proposed: the paper's evolutionary loop is the default strategy,
+ * and a boosted-trees surrogate walks the same space with a fitness it
+ * learns online from measurements. An Explorer abstracts the draft stage
+ * behind one call:
  *
  *   proposeBatch(ctx) -> ranked candidate population
  *   observe(measured records) -> online state update
@@ -18,9 +18,7 @@
  *    ExplorerContext::rng — the tuning loop's main generator — so the
  *    draft stage stays on the run's single RNG lineage and the async
  *    model trainer (which clones the cost model, never the explorer) can
- *    overlap training without perturbing exploration. clone() deep-copies
- *    all learned state (trees, incumbents, racing standings), preserving
- *    that lineage exactly.
+ *    overlap training without perturbing exploration.
  *  - proposeBatch and observe run on the calling thread at deterministic
  *    points of the tuning loop; any pool fan-out must go through
  *    scoreChunked (values identical to serial by construction).
@@ -32,10 +30,7 @@
  * frozen pre-refactor golden sessions in tests/test_explorer.cpp).
  */
 
-#include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <utility>
@@ -76,9 +71,8 @@ struct ExplorerContext
 };
 
 /** Parsed explorer options: "k1=v1,k2=v2" (no tabs — the string is
- *  recorded as one field of the session log's policycfg line). Unknown
- *  keys are ignored by explorers, so one config string can parameterize
- *  a whole portfolio. */
+ *  recorded as one field of the session log's policycfg line). Explorers
+ *  ignore keys they do not read. */
 class ExplorerSpec
 {
   public:
@@ -110,7 +104,7 @@ class Explorer
     explicit Explorer(ExplorerSpec spec) : spec_(std::move(spec)) {}
     virtual ~Explorer() = default;
 
-    /** Registry key ("evolution", "bayes", "gbt", "portfolio"). */
+    /** Explorer key ("evolution" or "gbt"). */
     const std::string& key() const { return spec_.key(); }
     const ExplorerSpec& spec() const { return spec_; }
 
@@ -125,17 +119,12 @@ class Explorer
     /**
      * Feed measured outcomes back (called after every measurement batch
      * and for warm-started records; +inf latencies are failed trials).
-     * Updates online state — the GBT surrogate's training window, the
-     * Bayesian incumbent, the portfolio standings. No-op by default.
+     * Updates online state (the gbt surrogate's training window). No-op
+     * by default.
      */
     void observe(const SubgraphTask& task, const DeviceSpec& device,
                  std::span<const Schedule> measured,
                  std::span<const double> latencies);
-
-    /** Deep copy, carrying all learned state and the metrics binding
-     *  (the rng-lineage contract: a clone continues the exact
-     *  deterministic trajectory of the original). */
-    virtual std::unique_ptr<Explorer> clone() const = 0;
 
     /** Serialize all learned state into an opaque printable blob (no
      *  newlines; doubles as IEEE-754 bit patterns) for checkpointing.
@@ -156,10 +145,7 @@ class Explorer
 
     /** Bind the explorer_<key>_*_total counters to @p metrics (nullptr
      *  unbinds). Pure accounting — never changes proposals. */
-    virtual void bindMetrics(obs::MetricsRegistry* metrics)
-    {
-        metrics_ = metrics;
-    }
+    void bindMetrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
 
   protected:
     /** Strategy hook behind proposeBatch's accounting wrapper. */
@@ -178,43 +164,16 @@ struct MeasuredRecord;
 
 /** Replay warm-started records into @p explorer in insertion order,
  *  batched by consecutive same-task runs (the order TuningRecordDb
- *  preserves). Gives stateful explorers (gbt, bayes, portfolio) the same
- *  offline knowledge a warm-started cost model gets. */
+ *  preserves). Gives a stateful explorer (gbt) the same offline knowledge
+ *  a warm-started cost model gets. */
 void observeWarmRecords(Explorer& explorer, const DeviceSpec& device,
                         const std::vector<MeasuredRecord>& records);
 
-/**
- * String-keyed explorer factory. Built-ins ("evolution", "bayes", "gbt",
- * "portfolio") are registered at construction; tests and downstream code
- * can add their own. make() with an unknown key is a FatalError listing
- * the registered keys. Thread-safe (a serve daemon's concurrent tune()
- * calls each make their own explorer instance).
- */
-class ExplorerRegistry
-{
-  public:
-    using Factory =
-        std::function<std::unique_ptr<Explorer>(const ExplorerSpec&)>;
-
-    /** The process-wide registry. */
-    static ExplorerRegistry& instance();
-
-    void registerFactory(const std::string& key, Factory factory);
-
-    /** Build an explorer. @p key "" defaults to "evolution"; @p config
-     *  is the comma-separated option string (see ExplorerSpec). */
-    std::unique_ptr<Explorer> make(const std::string& key,
-                                   const std::string& config = "") const;
-
-    bool contains(const std::string& key) const;
-    /** Registered keys, sorted. */
-    std::vector<std::string> keys() const;
-
-  private:
-    ExplorerRegistry();
-
-    mutable std::mutex mutex_;
-    std::map<std::string, Factory> factories_;
-};
+/** Build the explorer named @p key: "" or "evolution" is the default
+ *  evolutionary draft, "gbt" the boosted-trees surrogate. @p config is
+ *  the comma-separated option string (see ExplorerSpec).
+ *  @throws FatalError on any other key, naming the two valid ones. */
+std::unique_ptr<Explorer> makeExplorer(const std::string& key,
+                                       const std::string& config = "");
 
 } // namespace pruner

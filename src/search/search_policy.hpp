@@ -120,13 +120,13 @@ struct TuneOptions
     /** Collect per-round pipeline stats into TuneResult::round_stats.
      *  Deterministic; off by default to keep TuneResult small. */
     bool collect_round_stats = false;
-    /** Draft-stage explorer registry key ("" = "evolution", the exact
-     *  pre-interface draft loop; also "bayes", "gbt", "portfolio" — see
+    /** Draft-stage explorer key: "" or "evolution" (the default, the
+     *  exact pre-interface draft loop) or "gbt" (see makeExplorer in
      *  src/search/explorer.hpp). Recorded on the session log's policycfg
      *  line, so recorded sessions replay under the same explorer. */
     std::string explorer;
     /** Comma-separated explorer options ("k=v,k=v", ExplorerSpec syntax),
-     *  e.g. "arms=evolution+gbt,race_rounds=3" for the portfolio. */
+     *  e.g. "min_records=20,trees=16" for gbt. */
     std::string explorer_config;
     /** Durably checkpoint the full resumable tuning state to
      *  @p checkpoint_path every this many completed rounds (and after the

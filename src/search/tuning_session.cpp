@@ -26,8 +26,6 @@ exportKernelTiers(obs::MetricsRegistry& metrics)
     metrics.setLabel("nn_kernel_matmul", tiers.matmul, ch);
     metrics.setLabel("nn_kernel_matmul_nt", tiers.matmul_nt, ch);
     metrics.setLabel("nn_kernel_matmul_tn_acc", tiers.matmul_tn_acc, ch);
-    metrics.setLabel("nn_kernel_matmul_tn_add_partial",
-                     tiers.matmul_tn_add_partial, ch);
     metrics.setLabel("nn_kernel_matmul_tn_seg", tiers.matmul_tn_seg, ch);
     // CPU-supported tiers the startup self-check rejected. Zero on a
     // healthy host; nonzero means a vector kernel broke its byte-identity
@@ -104,8 +102,7 @@ TuningSession::TuningSession(const SearchPolicy& policy,
         recorder_->beginSession(policy.replayFactory(), policy.replayConfig(),
                                 device.name, workload, opts);
     }
-    explorer = ExplorerRegistry::instance().make(opts.explorer,
-                                                 opts.explorer_config);
+    explorer = makeExplorer(opts.explorer, opts.explorer_config);
     explorer->bindMetrics(&metrics);
     scheduler_.bindObs(&metrics);
     model.bindMetrics(&metrics);

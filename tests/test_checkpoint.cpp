@@ -325,7 +325,7 @@ TEST_F(CheckpointTest, IncrementalBuildMatchesFreshBuild)
     TaskScheduler scheduler(w);
     TuningRecordDb db;
     MeasureCache cache;
-    auto explorer = ExplorerRegistry::instance().make("", "");
+    auto explorer = makeExplorer("");
     PaCMModel model(dev, 0);
     MoAAdapter moa(&model);
     obs::MetricsRegistry metrics;

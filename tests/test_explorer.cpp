@@ -1,10 +1,10 @@
-/** The explorer zoo: the default "evolution" explorer must reproduce the
- *  pre-interface draft loop byte for byte (frozen golden end-lines across
- *  Pruner / MoA-Pruner / Ansor at 1 and 4 workers, plus the Pruner
- *  ablations, Adatune and a sharded MoA run), every alternative
- *  explorer (bayes, gbt, portfolio) must be deterministic at any worker
- *  count and replay byte-identically from its session log, and the
- *  registry must fail loudly on unknown keys. */
+/** Draft-stage explorers: the default "evolution" explorer must reproduce
+ *  the pre-interface draft loop byte for byte (frozen golden end-lines
+ *  across Pruner / MoA-Pruner / Ansor at 1 and 4 workers, plus the Pruner
+ *  ablations, Adatune and a sharded MoA run), the gbt explorer must keep
+ *  its own frozen end-lines, be deterministic at any worker count and
+ *  replay byte-identically from its session log, and makeExplorer must
+ *  fail loudly on unknown keys. */
 
 #include <gtest/gtest.h>
 
@@ -217,46 +217,33 @@ TEST(Explorer, ExplicitEvolutionKeyMatchesDefault)
     EXPECT_EQ(a.find("end")->line, b.find("end")->line);
 }
 
-/** Every alternative explorer must be worker-count invariant: the whole
- *  recorded event stream (measurements, model hashes, simulated clock)
- *  identical at 1 and 4 workers, for both tuning loops. */
-TEST(Explorer, AlternativeExplorersWorkerCountInvariant)
+/** The gbt explorer must be worker-count invariant: the whole recorded
+ *  event stream (measurements, model hashes, simulated clock) identical at
+ *  1 and 4 workers, for both tuning loops. */
+TEST(Explorer, GbtWorkerCountInvariant)
 {
-    const struct
-    {
-        const char* key;
-        const char* config;
-    } cases[] = {
-        {"bayes", ""},
-        {"gbt", "min_records=20,trees=16"},
-        {"portfolio", "arms=evolution+bayes+gbt,race_rounds=1,"
-                      "min_records=20"},
-    };
-    for (const auto& c : cases) {
-        for (const Kind kind : {Kind::Pruner, Kind::Ansor}) {
-            SCOPED_TRACE(std::string(c.key) + "/" +
-                         (kind == Kind::Pruner ? "pruner" : "ansor"));
-            // Pin the clock lanes so the whole event stream — not just
-            // the measured values — must match across worker counts.
-            const GoldenCase w1{"", 1, kind, ""};
-            const GoldenCase w4{"", 4, kind, ""};
-            const SessionLog a = runGoldenCase(w1, c.key, c.config, 1);
-            const SessionLog b = runGoldenCase(w4, c.key, c.config, 1);
-            const ReplayDiff diff = replayDiff(a, b);
-            EXPECT_TRUE(diff.identical) << diff.describe();
-        }
+    for (const Kind kind : {Kind::Pruner, Kind::Ansor}) {
+        SCOPED_TRACE(kind == Kind::Pruner ? "pruner" : "ansor");
+        // Pin the clock lanes so the whole event stream — not just the
+        // measured values — must match across worker counts.
+        const GoldenCase w1{"", 1, kind, ""};
+        const GoldenCase w4{"", 4, kind, ""};
+        const SessionLog a = runGoldenCase(w1, "gbt", kGbtGoldenConfig, 1);
+        const SessionLog b = runGoldenCase(w4, "gbt", kGbtGoldenConfig, 1);
+        const ReplayDiff diff = replayDiff(a, b);
+        EXPECT_TRUE(diff.identical) << diff.describe();
     }
 }
 
 /** A session recorded under a non-default explorer must carry it on the
  *  policycfg line and re-execute byte-identically from the log alone. */
-TEST(Explorer, RecordedPortfolioSessionReplaysIdentically)
+TEST(Explorer, RecordedGbtSessionReplaysIdentically)
 {
     const auto dev = DeviceSpec::a100();
     const Workload w = goldenWorkload();
     TuneOptions opts = goldenOptions(2);
-    opts.explorer = "portfolio";
-    opts.explorer_config = "arms=evolution+gbt,race_rounds=1";
+    opts.explorer = "gbt";
+    opts.explorer_config = "min_records=20";
     opts.tasks_per_round = 2;
     opts.async_training = true;
     opts.fault_plan.seed = 7;
@@ -273,7 +260,7 @@ TEST(Explorer, RecordedPortfolioSessionReplaysIdentically)
     const SessionEvent* policycfg = recorder.log().find("policycfg");
     ASSERT_NE(policycfg, nullptr);
     const EventFields fields(policycfg->line);
-    EXPECT_EQ(fields.get("explorer"), "portfolio");
+    EXPECT_EQ(fields.get("explorer"), "gbt");
     EXPECT_EQ(fields.get("explorercfg"), opts.explorer_config);
 
     SessionReplayer replayer;
@@ -286,41 +273,46 @@ TEST(Explorer, RecordedPortfolioSessionReplaysIdentically)
     }
 }
 
-TEST(Explorer, RegistryRejectsUnknownKey)
+/** Only evolution and gbt exist. Any other key — including the deleted
+ *  bayes and portfolio explorers, which an old session log or checkpoint
+ *  may still name — is a FatalError that names both valid keys. */
+TEST(Explorer, MakeExplorerRejectsUnknownKeys)
 {
-    EXPECT_THROW(ExplorerRegistry::instance().make("simulated-annealing"),
-                 FatalError);
+    for (const char* key : {"simulated-annealing", "bayes", "portfolio"}) {
+        SCOPED_TRACE(key);
+        try {
+            (void)makeExplorer(key);
+            ADD_FAILURE() << "makeExplorer accepted '" << key << "'";
+        } catch (const FatalError& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("evolution"), std::string::npos) << what;
+            EXPECT_NE(what.find("gbt"), std::string::npos) << what;
+        }
+    }
 }
 
-TEST(Explorer, RegistryListsBuiltins)
+TEST(Explorer, MakeExplorerBuildsEvolutionAndGbt)
 {
-    ExplorerRegistry& registry = ExplorerRegistry::instance();
-    for (const char* key : {"evolution", "bayes", "gbt", "portfolio"}) {
-        EXPECT_TRUE(registry.contains(key)) << key;
-    }
-    EXPECT_FALSE(registry.contains("nope"));
     // "" resolves to the default.
-    EXPECT_EQ(registry.make("")->key(), "evolution");
+    EXPECT_EQ(makeExplorer("")->key(), "evolution");
+    EXPECT_EQ(makeExplorer("evolution")->key(), "evolution");
+    const auto gbt = makeExplorer("gbt", kGbtGoldenConfig);
+    EXPECT_EQ(gbt->key(), "gbt");
+    EXPECT_EQ(gbt->spec().config(), kGbtGoldenConfig);
 }
 
 TEST(Explorer, SpecParsesTypedValuesAndRejectsMalformedPairs)
 {
-    const ExplorerSpec spec("portfolio",
-                            "arms=evolution+gbt,race_rounds=3,sigma=0.5");
-    EXPECT_EQ(spec.get("arms", ""), "evolution+gbt");
-    EXPECT_EQ(spec.getInt("race_rounds", 0), 3);
-    EXPECT_EQ(spec.getDouble("sigma", 0.0), 0.5);
+    const ExplorerSpec spec("gbt", "trees=16,min_records=20,lr=0.5,"
+                                   "trees=32");
+    EXPECT_EQ(spec.get("min_records", ""), "20");
+    // Last occurrence wins.
+    EXPECT_EQ(spec.getInt("trees", 0), 32);
+    EXPECT_EQ(spec.getDouble("lr", 0.0), 0.5);
     EXPECT_EQ(spec.getInt("missing", 17), 17);
     EXPECT_FALSE(spec.has("missing"));
-    EXPECT_THROW(ExplorerSpec("bayes", "novalue"), InternalError);
-    EXPECT_THROW(ExplorerSpec("bayes", "a=1\tb=2"), InternalError);
-}
-
-TEST(Explorer, PortfolioRejectsNestedPortfolioArm)
-{
-    EXPECT_THROW(ExplorerRegistry::instance().make(
-                     "portfolio", "arms=evolution+portfolio"),
-                 InternalError);
+    EXPECT_THROW(ExplorerSpec("gbt", "novalue"), InternalError);
+    EXPECT_THROW(ExplorerSpec("gbt", "a=1\tb=2"), InternalError);
 }
 
 /** The GBT surrogate must be a deterministic pure function of its

@@ -416,10 +416,9 @@ TEST(FailureInjection, DivergedModelFailsRunAndIsNotPersisted)
     const struct
     {
         const char* name;
-        int rounds;
         std::function<std::unique_ptr<SearchPolicy>(bool)> make;
     } rows[] = {
-        {"pruner", 3,
+        {"pruner",
          [&](bool diverged) -> std::unique_ptr<SearchPolicy> {
              PrunerConfig config = pruner_config;
              if (diverged) {
@@ -427,9 +426,7 @@ TEST(FailureInjection, DivergedModelFailsRunAndIsNotPersisted)
              }
              return std::make_unique<PrunerPolicy>(dev, config);
          }},
-        // NaN scores already stop Ansor's evolution at the first weighted
-        // draw, so this row runs no rounds: it checks the finish alone.
-        {"ansor", 0,
+        {"ansor",
          [&](bool diverged) {
              auto policy = baselines::makeAnsor(dev, 7);
              if (diverged) {
@@ -450,7 +447,7 @@ TEST(FailureInjection, DivergedModelFailsRunAndIsNotPersisted)
                 (std::string("pruner_test_diverged_") + row.name);
             std::filesystem::remove_all(root);
             TuneOptions opts;
-            opts.rounds = row.rounds;
+            opts.rounds = 3;
             opts.online_training = false;
             opts.artifact_db_path = root.string();
             opts.reuse_model_checkpoint = true;

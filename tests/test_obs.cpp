@@ -531,39 +531,6 @@ TEST(ObsTune, StageHistogramsTrackRoundsAndRenderInReport)
     }
 }
 
-TEST(ObsTune, TuneReportRendersPortfolioArmRows)
-{
-    // Synthetic portfolio counters: the report must render one row per
-    // arm with its call share and race wins, keyed off the
-    // portfolio_arm_<key>_calls_total / portfolio_winner_<key>_total
-    // naming convention the portfolio explorer emits.
-    obs::MetricsRegistry metrics;
-    metrics.counter("portfolio_arm_evolution_calls_total")->add(6);
-    metrics.counter("portfolio_arm_anneal_calls_total")->add(2);
-    metrics.counter("portfolio_winner_evolution_total")->add(1);
-
-    TuneResult result;
-    result.policy = "portfolio-test";
-    const std::string report = obs::tuneReport(result, metrics.snapshot());
-    EXPECT_NE(report.find("portfolio arms (8 draft calls):"),
-              std::string::npos)
-        << report;
-    EXPECT_NE(report.find("evolution  calls 6"), std::string::npos)
-        << report;
-    EXPECT_NE(report.find("anneal     calls 2"), std::string::npos)
-        << report;
-    EXPECT_NE(report.find("75.0%"), std::string::npos) << report;
-    EXPECT_NE(report.find("25.0%"), std::string::npos) << report;
-    EXPECT_NE(report.find("wins 1"), std::string::npos) << report;
-    EXPECT_NE(report.find("wins 0"), std::string::npos) << report;
-
-    // No portfolio counters -> no section.
-    obs::MetricsRegistry empty;
-    EXPECT_EQ(obs::tuneReport(result, empty.snapshot())
-                  .find("portfolio arms"),
-              std::string::npos);
-}
-
 TEST(ObsTune, EvoPolicyEmitsEvolutionCounters)
 {
     const auto dev = DeviceSpec::a100();

@@ -271,11 +271,26 @@ TEST(Explorer, RecordedGbtSessionReplaysIdentically)
         const ReplayResult replayed = replayer.replay(recorder.log(), env);
         EXPECT_TRUE(replayed.diff.identical) << replayed.diff.describe();
     }
+
+    // The same log naming the deleted bayes explorer is refused.
+    std::string text = recorder.log().serialize();
+    const size_t at = text.find("\texplorer=gbt\t");
+    ASSERT_NE(at, std::string::npos);
+    text.replace(at, 14, "\texplorer=bayes\t");
+    try {
+        (void)replayer.replay(SessionLog::parse(text));
+        ADD_FAILURE() << "replayed a log naming bayes";
+    } catch (const FatalError& e) {
+        EXPECT_NE(std::string(e.what()).find("unknown explorer 'bayes'"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 /** Only evolution and gbt exist. Any other key — including the deleted
- *  bayes and portfolio explorers, which an old session log or checkpoint
- *  may still name — is a FatalError that names both valid keys. */
+ *  bayes and portfolio explorers, which an old session log or an old
+ *  run's options may still name — is a FatalError that names both valid
+ *  keys. */
 TEST(Explorer, MakeExplorerRejectsUnknownKeys)
 {
     for (const char* key : {"simulated-annealing", "bayes", "portfolio"}) {

@@ -12,6 +12,7 @@
 #include "db/artifact_session.hpp"
 #include "obs/metrics.hpp"
 #include "sched/sampler.hpp"
+#include "search/record_log.hpp"
 #include "support/io.hpp"
 #include "support/thread_pool.hpp"
 
@@ -55,6 +56,20 @@ class ArtifactDbTest : public ::testing::Test
                 {task, sampler.sample(rng), base_latency + i * 1e-6});
         }
         return records;
+    }
+
+    /** The one record shard written so far ("" when there is none). */
+    std::string
+    shardLogPath() const
+    {
+        std::string path;
+        for (const auto& entry :
+             fs::directory_iterator(fs::path(root_) / "records")) {
+            if (entry.path().extension() == ".log") {
+                path = entry.path().string();
+            }
+        }
+        return path;
     }
 
     std::string root_;
@@ -171,6 +186,66 @@ TEST_F(ArtifactDbTest, TruncatedLogTailIsSkippedOnLoad)
     ArtifactDb reopened(root_);
     EXPECT_EQ(reopened.recordCount(), 4u);
     EXPECT_EQ(reopened.topK(task_, 10).size(), 4u);
+}
+
+TEST_F(ArtifactDbTest, CorruptLinesAreSkippedWithoutQuarantine)
+{
+    const auto records = sampleRecords(task_, 3, 37);
+    std::string shard_path;
+    {
+        ArtifactDb db(root_);
+        db.appendRecords(records);
+        shard_path = shardLogPath();
+    }
+    ASSERT_FALSE(shard_path.empty());
+    // A flipped payload byte under an intact CRC suffix: the payload would
+    // still parse as a plausible record, so only the checksum rejects it.
+    std::string framed =
+        io::withLineCrc(recordToLine(sampleRecords(task_, 1, 41)[0]));
+    framed[5] ^= 0x01;
+    {
+        std::ofstream out(shard_path, std::ios::app | std::ios::binary);
+        out << framed << "\n";
+        out << "garbage line without tabs\n";
+        out << "a\tb\tc\td\n"; // right arity, wrong content
+    }
+    ArtifactDb reopened(root_);
+    EXPECT_EQ(reopened.recordCount(), records.size());
+    const auto top = reopened.topK(task_, 10);
+    ASSERT_EQ(top.size(), records.size());
+    for (size_t i = 0; i < top.size(); ++i) {
+        EXPECT_EQ(top[i].sch, records[i].sch);
+        EXPECT_DOUBLE_EQ(top[i].latency, records[i].latency);
+    }
+    EXPECT_EQ(reopened.storageHealth().corrupt_lines, 3u);
+    // Good lines remain, so the shard stays in place.
+    EXPECT_EQ(reopened.storageHealth().quarantined_files, 0u);
+    EXPECT_TRUE(fs::exists(shard_path));
+}
+
+TEST_F(ArtifactDbTest, PreCrcShardLinesStillLoad)
+{
+    // Shards written before CRC framing existed hold bare payload lines;
+    // they must keep loading unchanged.
+    std::string shard_path;
+    {
+        ArtifactDb db(root_);
+        db.appendRecords(sampleRecords(task_, 1, 43));
+        shard_path = shardLogPath();
+    }
+    ASSERT_FALSE(shard_path.empty());
+    const MeasuredRecord record = sampleRecords(task_, 1, 47, 2e-4)[0];
+    {
+        std::ofstream out(shard_path, std::ios::binary | std::ios::trunc);
+        out << recordToLine(record) << "\n";
+    }
+    ArtifactDb reopened(root_);
+    EXPECT_EQ(reopened.recordCount(), 1u);
+    const auto best = reopened.bestSchedule(task_);
+    ASSERT_TRUE(best.has_value());
+    EXPECT_EQ(best->sch, record.sch);
+    EXPECT_DOUBLE_EQ(best->latency, record.latency);
+    EXPECT_EQ(reopened.storageHealth().corrupt_lines, 0u);
 }
 
 TEST_F(ArtifactDbTest, MeasureCacheSnapshotIsByteDeterministic)

@@ -16,9 +16,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <new>
 #include <span>
 #include <vector>
@@ -32,6 +35,7 @@
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/workspace.hpp"
+#include "replay/session_log.hpp"
 #include "sched/sampler.hpp"
 #include "sim/gpu_simulator.hpp"
 #include "support/thread_pool.hpp"
@@ -202,6 +206,60 @@ TEST(TrainingIdentity, ChainedRoundsMatchReference)
         reference.trainReference(records, 1);
     }
     EXPECT_TRUE(bitwiseEqual(batched.getParams(), reference.getParams()));
+}
+
+/** Frozen training trajectories: the loss bits and weight hash that
+ *  train() and trainReference() reach from a fresh model, pinned as
+ *  constants. The identity tests above only compare the two loops with
+ *  each other; these catch an edit that moves both the same way. Three
+ *  tasks of ~67 records exercise the per-group subset cap (48). */
+TEST(TrainingGolden, FrozenLossAndWeightHashes)
+{
+    struct Frozen
+    {
+        const char* name;
+        std::function<std::unique_ptr<CostModel>()> make;
+        uint64_t loss_bits;
+        uint64_t params_hash;
+    };
+    const DeviceSpec dev = DeviceSpec::a100();
+    const std::vector<Frozen> cases = {
+        {"PaCM", [&] { return std::make_unique<PaCMModel>(dev, 3); },
+         0x3f56d3748be608e4, 0x9372f1d60b3c7948},
+        {"PaCM-no-statement",
+         [&] {
+             return std::make_unique<PaCMModel>(
+                 dev, 5, PaCMConfig{.use_statement_features = false});
+         },
+         0x3f76455920aa50a8, 0x1e1f0bc2ae057f13},
+        {"PaCM-no-dataflow",
+         [&] {
+             return std::make_unique<PaCMModel>(
+                 dev, 7, PaCMConfig{.use_dataflow_features = false});
+         },
+         0x3f546335b7a9380c, 0xf1e94f02dbfb9452},
+        {"TenSetMLP", [&] { return std::make_unique<MlpCostModel>(dev, 9); },
+         0x3f5bfbc08fcd688f, 0x19d04583f748f797},
+        {"TLP", [&] { return std::make_unique<TlpCostModel>(dev, 11); },
+         0x3f71cb9f02cf5824, 0x5fff22b84c9f2cb7},
+    };
+    const auto records = makeRecords(200, /*n_tasks=*/3, /*seed=*/61);
+    for (const auto& c : cases) {
+        for (const bool reference : {false, true}) {
+            auto model = c.make();
+            const double loss = reference ? model->trainReference(records, 2)
+                                          : model->train(records, 2);
+            const uint64_t loss_bits = std::bit_cast<uint64_t>(loss);
+            const uint64_t hash = paramsHash(model->getParams());
+            const char* path = reference ? "trainReference" : "train";
+            EXPECT_EQ(loss_bits, c.loss_bits)
+                << c.name << " " << path << " loss bits 0x" << std::hex
+                << loss_bits;
+            EXPECT_EQ(hash, c.params_hash)
+                << c.name << " " << path << " weight hash 0x" << std::hex
+                << hash;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@
 
 #include "baselines/ansor.hpp"
 #include "core/pruner_tuner.hpp"
+#include "cost/pacm_model.hpp"
 #include "ir/workload_registry.hpp"
 #include "replay/session_replayer.hpp"
 #include "support/logging.hpp"
@@ -345,6 +346,45 @@ TEST(Replay, ArtifactDbSessionsAreRefused)
 
     SessionReplayer replayer;
     EXPECT_THROW(replayer.replay(recorded), FatalError);
+}
+
+/** The other two refusals: a factory key no built-in policy answers to,
+ *  and a session whose policy started from pretrained weights (those are
+ *  not in the log). */
+TEST(Replay, UnknownFactoryAndPretrainedSessionsAreRefused)
+{
+    const auto dev = DeviceSpec::a100();
+    Workload w = workloads::resnet50();
+    w.tasks.resize(1);
+    TuneOptions opts = chaosOptions();
+    opts.rounds = 2;
+    opts.tasks_per_round = 1;
+    SessionReplayer replayer;
+    const auto expectRefused = [&](const SessionLog& log,
+                                   const std::string& message) {
+        try {
+            (void)replayer.replay(log);
+            ADD_FAILURE() << "replayed a log that must be refused ("
+                          << message << ")";
+        } catch (const FatalError& e) {
+            EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+                << e.what();
+        }
+    };
+
+    PrunerPolicy policy(dev, smallPrunerConfig());
+    std::string text = record(policy, w, opts).serialize();
+    const std::string pruner_key = "\tfactory=Pruner\t";
+    const size_t at = text.find(pruner_key);
+    ASSERT_NE(at, std::string::npos);
+    text.replace(at, pruner_key.size(), "\tfactory=Roller\t");
+    expectRefused(SessionLog::parse(text),
+                  "no factory registered for 'Roller'");
+
+    PrunerConfig config = smallPrunerConfig();
+    config.pretrained = PaCMModel(dev, 1).getParams();
+    PrunerPolicy pretrained(dev, config);
+    expectRefused(record(pretrained, w, opts), "pretrained weights");
 }
 
 TEST(Replay, FaultEventsCarryConsistentOutcomes)

@@ -254,52 +254,36 @@ batchedTrainingBenchmark()
 {
     // The training counterpart of the inference section: one PaCM / TLP
     // online-update epoch over a 512-record window spread across 8 tasks
-    // (one LambdaRank group per task), at three engine levels:
-    //   reference     per-record forward+backward (trainReference)
-    //   per-group     one GEMM per layer per group, one optimizer step
-    //                 per group (train at task_batch = 1 — the engine as
-    //                 the segment-batched-backward PR left it)
-    //   task-batched  the whole window pooled into ONE forward/backward
-    //                 and one optimizer step per epoch (train at
-    //                 task_batch = 8)
-    // Same-knob trainers see the same number of train calls with the
-    // same RNG lineage, so final weights must be byte-identical at every
-    // level — asserted below (including through the async double-buffer
-    // at 1 and 4 workers); only wall-clock is allowed to move.
+    // (one LambdaRank group per task), at two engine levels:
+    //   reference  per-record forward+backward (trainReference)
+    //   per-group  one GEMM per layer per group, one optimizer step per
+    //              group (train)
+    // Both trainers see the same number of train calls with the same RNG
+    // lineage, so final weights must be byte-identical — asserted below
+    // (including through the async double-buffer at 1 and 4 workers);
+    // only wall-clock is allowed to move.
     constexpr size_t kRecords = 512;
     constexpr size_t kTasks = 8;
-    constexpr size_t kTaskBatch = kTasks;
     const auto& dev = benchDevice();
     const auto records =
         bench::makeTrainingRecords(dev, kRecords, kTasks, 47);
 
     std::printf("batched cost-model training: %zu-record window over %zu "
-                "tasks, per-record vs per-group vs task-batched backward\n",
+                "tasks, per-record vs per-group backward\n",
                 kRecords, kTasks);
     int status = 0;
     auto section = [&](const char* name, const char* json_name,
                        const auto& make_model) {
         auto reference = make_model();
         auto per_group = make_model();
-        auto pooled = make_model();
-        auto pooled_ref = make_model();
-        pooled.setTrainTaskBatch(kTaskBatch);
-        pooled_ref.setTrainTaskBatch(kTaskBatch);
-        // medianOfSeconds runs every variant the same number of times, so
-        // same-knob models end on identical weights iff the trainers
-        // agree.
+        // medianOfSeconds runs both variants the same number of times, so
+        // the two models end on identical weights iff the trainers agree.
         const double ref_s = bench::medianOfSeconds(
             [&]() { reference.trainReference(records, 1); });
         const double grp_s =
             bench::medianOfSeconds([&]() { per_group.train(records, 1); });
-        const double pool_s =
-            bench::medianOfSeconds([&]() { pooled.train(records, 1); });
-        const double pool_ref_s = bench::medianOfSeconds(
-            [&]() { pooled_ref.trainReference(records, 1); });
         const bool grp_identical =
             per_group.getParams() == reference.getParams();
-        const bool pool_identical =
-            pooled.getParams() == pooled_ref.getParams();
         char label[64];
         std::snprintf(label, sizeof(label), "%s reference epoch", name);
         std::printf("  %-28s %10.2f ms   %8.0f records/s\n", label,
@@ -310,23 +294,15 @@ batchedTrainingBenchmark()
                     label, grp_s * 1e3,
                     static_cast<double>(kRecords) / grp_s, ref_s / grp_s,
                     grp_identical ? "identical" : "DIVERGED");
-        std::snprintf(label, sizeof(label), "%s task-batched epoch", name);
-        std::printf("  %-28s %10.2f ms   %8.0f records/s   %.2fx vs "
-                    "per-group   weights %s\n",
-                    label, pool_s * 1e3,
-                    static_cast<double>(kRecords) / pool_s, grp_s / pool_s,
-                    pool_identical ? "identical" : "DIVERGED");
-        if (!grp_identical || !pool_identical) {
+        if (!grp_identical) {
             status = 1;
         }
-        // The async double-buffer carries the task-batch knob into its
-        // back clone: one overlapped update at 1 and 4 workers must land
-        // the same bytes as the per-record reference at the same knob.
+        // The async double-buffer trains a clone of the front model: one
+        // overlapped update at 1 and 4 workers must land the same bytes as
+        // the per-record reference.
         for (const size_t workers : {size_t{1}, size_t{4}}) {
             auto front = make_model();
             auto async_ref = make_model();
-            front.setTrainTaskBatch(kTaskBatch);
-            async_ref.setTrainTaskBatch(kTaskBatch);
             ThreadPool pool(workers);
             AsyncModelTrainer trainer(front, pool);
             trainer.beginUpdate(records, 1);
@@ -345,17 +321,11 @@ batchedTrainingBenchmark()
         if (g_json != nullptr) {
             g_json->set(json_name, "reference_epoch_ms", ref_s * 1e3);
             g_json->set(json_name, "per_group_epoch_ms", grp_s * 1e3);
-            g_json->set(json_name, "task_batched_epoch_ms", pool_s * 1e3);
-            g_json->set(json_name, "task_batched_reference_epoch_ms",
-                        pool_ref_s * 1e3);
-            g_json->set(json_name, "speedup_vs_reference", ref_s / pool_s);
-            g_json->set(json_name, "speedup_vs_per_group", grp_s / pool_s);
+            g_json->set(json_name, "speedup_vs_reference", ref_s / grp_s);
             g_json->set(json_name, "reference_records_per_s",
                         static_cast<double>(kRecords) / ref_s);
             g_json->set(json_name, "per_group_records_per_s",
                         static_cast<double>(kRecords) / grp_s);
-            g_json->set(json_name, "task_batched_records_per_s",
-                        static_cast<double>(kRecords) / pool_s);
         }
     };
     section("PaCM", "training_pacm", [&]() { return PaCMModel(dev, 1); });

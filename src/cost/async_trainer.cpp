@@ -65,7 +65,7 @@ AsyncModelTrainer::install()
     if (!inflight_.valid()) {
         return false;
     }
-    last_loss_ = inflight_.get(); // waits; rethrows training exceptions
+    inflight_.get(); // waits; rethrows training exceptions
     if (staged_.consume(&scratch_)) {
         front_->setParams(scratch_);
     }

@@ -70,9 +70,6 @@ class AsyncModelTrainer
     bool install();
 
     size_t updatesLaunched() const { return launched_; }
-    /** Ranking loss of the most recently installed update. */
-    double lastLoss() const { return last_loss_; }
-
     /** The back-buffer clone that actually trains. install() copies its
      *  weights to the front model but not its RNG lineage — checkpointing
      *  reads the training RNG from here (after an install() barrier, with
@@ -96,7 +93,6 @@ class AsyncModelTrainer
     std::future<double> inflight_;
     std::vector<double> scratch_;
     size_t launched_ = 0;
-    double last_loss_ = 0.0;
     obs::Tracer* tracer_ = nullptr;
     const SimClock* clock_ = nullptr;
     obs::Counter* updates_counter_ = nullptr;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <span>
 #include <unordered_map>
 
 #include "nn/loss.hpp"
@@ -62,106 +61,39 @@ trainRankingLoop(
     const std::function<void(const std::vector<size_t>&,
                              const std::vector<double>&)>& fit_batch,
     const std::function<void()>& on_batch_end,
-    const CostModel::ModelObsCounters& counters, size_t task_batch)
+    const CostModel::ModelObsCounters& counters)
 {
-    if (task_batch < 1) {
-        task_batch = 1;
-    }
     auto groups = detail::groupByTask(records);
     double last_epoch_loss = 0.0;
-    // Sub-pack record budget: small groups pool together (amortising the
-    // per-call batched-pass overhead), while a group-cap-sized group
-    // forms its own sub-pack whose activations fit L2.
-    constexpr size_t kPoolRecordBudget = 64;
-    // Loop-level buffers, reused across task batches and epochs.
-    std::vector<size_t> pooled;
-    std::vector<size_t> subpack;
-    std::vector<size_t> group_sizes;
-    std::vector<double> scores, latencies, dy_pack;
+    // Loop-level buffers, reused across groups and epochs.
+    std::vector<size_t> subset;
+    std::vector<double> scores, latencies;
     LossResult loss;
     LossScratch scratch;
     for (int epoch = 0; epoch < epochs; ++epoch) {
         rng.shuffle(groups);
         double epoch_loss = 0.0;
         size_t batches = 0;
-        size_t g = 0;
-        while (g < groups.size()) {
-            pooled.clear();
-            group_sizes.clear();
-            // Collect up to task_batch eligible groups, shuffling each
-            // exactly when it is collected — the reference loop's RNG
-            // order. Sub-two-record groups skip without consuming a pool
-            // slot (nor RNG draws, matching the reference).
-            while (g < groups.size() && group_sizes.size() < task_batch) {
-                auto& group = groups[g];
-                ++g;
-                if (group.size() < 2) {
-                    continue;
-                }
-                rng.shuffle(group);
-                const size_t take = std::min(group.size(), group_cap);
-                pooled.insert(pooled.end(), group.begin(),
-                              group.begin() + take);
-                group_sizes.push_back(take);
+        for (auto& group : groups) {
+            if (group.size() < 2) {
+                continue;
             }
-            if (group_sizes.empty()) {
-                continue; // trailing ineligible groups
+            rng.shuffle(group);
+            subset.assign(group.begin(),
+                          group.begin() + std::min(group.size(), group_cap));
+            infer_scores(subset, scores);
+            latencies.clear();
+            for (size_t idx : subset) {
+                latencies.push_back(records[idx].latency);
             }
-            // Process the task batch in cache-sized sub-packs of whole
-            // groups. The weights are frozen until on_batch_end, so
-            // splitting the pooled forward/backward at group boundaries
-            // changes no byte of the result — batched scores are
-            // row-independent and the gradients accumulate in group
-            // order either way — while keeping each sub-pack's
-            // activations L2-resident (a single monolithic pack streams
-            // every layer pass from L3 once the task batch outgrows the
-            // cache, which costs far more than it saves in call count).
-            size_t g0 = 0;
-            size_t off = 0;
-            while (g0 < group_sizes.size()) {
-                size_t sub_groups = 0;
-                size_t sub_records = 0;
-                while (g0 + sub_groups < group_sizes.size() &&
-                       (sub_groups == 0 ||
-                        sub_records + group_sizes[g0 + sub_groups] <=
-                            kPoolRecordBudget)) {
-                    sub_records += group_sizes[g0 + sub_groups];
-                    ++sub_groups;
-                }
-                subpack.assign(pooled.begin() + off,
-                               pooled.begin() + off + sub_records);
-                infer_scores(subpack, scores);
-                latencies.clear();
-                for (size_t idx : subpack) {
-                    latencies.push_back(records[idx].latency);
-                }
-                // Per-group loss on the sub-pack's score/latency slices
-                // into the per-group dy pack: each group's rounding
-                // sequence is the unpooled pass's, under the same
-                // (deferred-step) weights.
-                dy_pack.resize(sub_records);
-                size_t sub_off = 0;
-                for (size_t gi = 0; gi < sub_groups; ++gi) {
-                    const size_t take = group_sizes[g0 + gi];
-                    lambdaRankLossInto(
-                        std::span<const double>(scores).subspan(sub_off,
-                                                                take),
-                        std::span<const double>(latencies)
-                            .subspan(sub_off, take),
-                        /*sigma=*/1.0, loss, scratch);
-                    std::copy(loss.grad.begin(), loss.grad.end(),
-                              dy_pack.begin() + sub_off);
-                    epoch_loss += loss.loss;
-                    ++batches;
-                    obs::counterAdd(counters.train_groups);
-                    sub_off += take;
-                }
-                fit_batch(subpack, dy_pack);
-                obs::counterAdd(counters.train_records, subpack.size());
-                g0 += sub_groups;
-                off += sub_records;
-            }
+            lambdaRankLossInto(scores, latencies, /*sigma=*/1.0, loss,
+                               scratch);
+            fit_batch(subset, loss.grad);
             on_batch_end();
+            epoch_loss += loss.loss;
+            ++batches;
+            obs::counterAdd(counters.train_groups);
+            obs::counterAdd(counters.train_records, subset.size());
         }
         last_epoch_loss = batches > 0 ? epoch_loss / batches : 0.0;
         obs::counterAdd(counters.train_epochs);
@@ -176,18 +108,14 @@ trainRankingLoopReference(
     const std::function<std::vector<double>(const std::vector<size_t>&)>&
         infer_scores,
     const std::function<void(size_t, double)>& fit_one,
-    const std::function<void()>& on_batch_end, size_t task_batch)
+    const std::function<void()>& on_batch_end)
 {
-    if (task_batch < 1) {
-        task_batch = 1;
-    }
     auto groups = detail::groupByTask(records);
     double last_epoch_loss = 0.0;
     for (int epoch = 0; epoch < epochs; ++epoch) {
         rng.shuffle(groups);
         double epoch_loss = 0.0;
         size_t batches = 0;
-        size_t pending = 0;
         for (auto& group : groups) {
             if (group.size() < 2) {
                 continue;
@@ -208,17 +136,9 @@ trainRankingLoopReference(
                     fit_one(subset[i], loss.grad[i]);
                 }
             }
-            // Defer the optimizer step across the task batch — the
-            // pooled loop's step schedule (flushed at epoch end).
-            if (++pending == task_batch) {
-                on_batch_end();
-                pending = 0;
-            }
+            on_batch_end();
             epoch_loss += loss.loss;
             ++batches;
-        }
-        if (pending > 0) {
-            on_batch_end();
         }
         last_epoch_loss = batches > 0 ? epoch_loss / batches : 0.0;
     }

@@ -122,22 +122,8 @@ class CostModel
      *  identical between sync and async runs. */
     void bindMetrics(obs::MetricsRegistry* metrics);
 
-    /**
-     * Cross-group LambdaRank batching knob: train() fits up to @p n task
-     * groups per optimizer step (one pooled forward/backward per task
-     * batch), and trainReference() defers its optimizer step across the
-     * same @p n groups — so the two stay byte-identical at ANY setting.
-     * The default (1) is byte- and RNG-stream-frozen to the pre-batching
-     * engine: one step per group, exactly the golden fixtures' stream.
-     * Values < 1 clamp to 1. A clone() carries the knob (the async
-     * trainer's back model must train like the front model it replaces).
-     */
-    void setTrainTaskBatch(size_t n) { train_task_batch_ = n < 1 ? 1 : n; }
-    size_t trainTaskBatch() const { return train_task_batch_; }
-
   protected:
     ModelObsCounters obs_counters_;
-    size_t train_task_batch_ = 1;
 };
 
 namespace detail {
@@ -164,28 +150,16 @@ groupByTask(const std::vector<MeasuredRecord>& records);
  * loss scratch) are reused across groups and epochs, so steady-state
  * epochs allocate nothing at the loop level.
  *
- * With @p task_batch > 1, up to that many eligible groups pool into ONE
- * infer_scores / fit_batch / on_batch_end round per optimizer step: each
- * group is shuffled exactly when it is collected (the reference loop's
- * RNG order), the pooled subset concatenates the per-group subsets in
- * collection order, and the loss runs per group on the score/latency
- * slices into a per-group dy pack — so every group's rounding sequence is
- * bit-exact to the task_batch = 1 pass under the same (deferred) weights.
- * Groups of fewer than two records are skipped without consuming a pool
- * slot; a trailing short pool still fits and steps.
- *
  * @param records  measured data
  * @param epochs   passes over the grouped data
  * @param group_cap  max candidates per group per epoch (LambdaRank is
  *                   quadratic in group size)
  * @param rng      sampling source
- * @param infer_scores  cache-free scoring of a subset (pack order; may
- *                      span groups) into a reused output buffer (resized
- *                      to subset.size())
+ * @param infer_scores  cache-free scoring of a subset (pack order) into a
+ *                      reused output buffer (resized to subset.size())
  * @param fit_batch  one batched forward+backward over the subset
  * @param on_batch_end  apply the optimizer step
  * @param counters  optional training counters (null members are no-ops)
- * @param task_batch  groups pooled per optimizer step (clamped to >= 1)
  * Returns the last epoch's mean per-group loss.
  */
 double trainRankingLoop(
@@ -196,18 +170,14 @@ double trainRankingLoop(
     const std::function<void(const std::vector<size_t>&,
                              const std::vector<double>&)>& fit_batch,
     const std::function<void()>& on_batch_end,
-    const CostModel::ModelObsCounters& counters = {},
-    size_t task_batch = 1);
+    const CostModel::ModelObsCounters& counters = {});
 
 /**
  * The frozen pre-batching loop: per-record @p fit_one calls (skipping
- * zero gradients), one record's full forward+backward at a time. Kept
- * verbatim as the golden reference behind every model's trainReference();
- * byte-for-byte the behaviour train() had before the batched backward.
- * With @p task_batch > 1 the optimizer step (@p on_batch_end) defers
- * until that many eligible groups have been fit (flushing at epoch end),
- * mirroring the pooled loop's step schedule so reference and batched
- * weights agree at any knob setting.
+ * zero gradients), one record's full forward+backward at a time, then one
+ * @p on_batch_end step per group. Kept verbatim as the golden reference
+ * behind every model's trainReference(); byte-for-byte the behaviour
+ * train() had before the batched backward.
  */
 double trainRankingLoopReference(
     const std::vector<MeasuredRecord>& records, int epochs, size_t group_cap,
@@ -215,6 +185,6 @@ double trainRankingLoopReference(
     const std::function<std::vector<double>(const std::vector<size_t>&)>&
         infer_scores,
     const std::function<void(size_t, double)>& fit_one,
-    const std::function<void()>& on_batch_end, size_t task_batch = 1);
+    const std::function<void()>& on_batch_end);
 
 } // namespace pruner

@@ -386,7 +386,7 @@ PaCMModel::train(const std::vector<MeasuredRecord>& records, int epochs)
     };
     return trainRankingLoop(records, epochs, /*group_cap=*/48, rng_,
                             infer_scores, fit_batch, on_batch_end,
-                            obs_counters_, train_task_batch_);
+                            obs_counters_);
 }
 
 double
@@ -472,7 +472,7 @@ PaCMModel::trainReference(const std::vector<MeasuredRecord>& records,
     };
     return trainRankingLoopReference(records, epochs, /*group_cap=*/48,
                                      rng_, infer_scores, fit_one,
-                                     on_batch_end, train_task_batch_);
+                                     on_batch_end);
 }
 
 double

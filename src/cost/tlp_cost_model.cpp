@@ -201,7 +201,7 @@ TlpCostModel::train(const std::vector<MeasuredRecord>& records, int epochs)
     };
     return trainRankingLoop(records, epochs, /*group_cap=*/48, rng_,
                             infer_scores, fit_batch, on_batch_end,
-                            obs_counters_, train_task_batch_);
+                            obs_counters_);
 }
 
 double
@@ -252,7 +252,7 @@ TlpCostModel::trainReference(const std::vector<MeasuredRecord>& records,
     };
     return trainRankingLoopReference(records, epochs, /*group_cap=*/48,
                                      rng_, infer_scores, fit_one,
-                                     on_batch_end, train_task_batch_);
+                                     on_batch_end);
 }
 
 double

@@ -25,14 +25,6 @@ latencyToRelevanceInto(std::span<const double> latencies,
     }
 }
 
-std::vector<double>
-latencyToRelevance(const std::vector<double>& latencies)
-{
-    std::vector<double> rel;
-    latencyToRelevanceInto(latencies, rel);
-    return rel;
-}
-
 LossResult
 lambdaRankLoss(const std::vector<double>& scores,
                const std::vector<double>& latencies, double sigma)
@@ -109,23 +101,6 @@ lambdaRankLossInto(std::span<const double> scores,
     for (double& g : out.grad) {
         g /= pairs;
     }
-}
-
-LossResult
-mseThroughputLoss(const std::vector<double>& scores,
-                  const std::vector<double>& latencies)
-{
-    PRUNER_CHECK(scores.size() == latencies.size());
-    const std::vector<double> rel = latencyToRelevance(latencies);
-    LossResult out;
-    out.grad.assign(scores.size(), 0.0);
-    for (size_t i = 0; i < scores.size(); ++i) {
-        const double err = scores[i] - rel[i];
-        out.loss += err * err;
-        out.grad[i] = 2.0 * err / static_cast<double>(scores.size());
-    }
-    out.loss /= static_cast<double>(scores.size());
-    return out;
 }
 
 } // namespace pruner

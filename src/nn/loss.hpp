@@ -50,17 +50,9 @@ void lambdaRankLossInto(std::span<const double> scores,
                         std::span<const double> latencies, double sigma,
                         LossResult& out, LossScratch& scratch);
 
-/** Plain MSE against throughput labels (max over group = 1), used by the
- *  regression-style ablations. */
-LossResult mseThroughputLoss(const std::vector<double>& scores,
-                             const std::vector<double>& latencies);
-
-/** Relevance labels used by lambdaRankLoss: best latency -> 1, others
- *  proportional to best/latency. Exposed for tests. */
-std::vector<double> latencyToRelevance(const std::vector<double>& latencies);
-
-/** latencyToRelevance into a reused buffer (the single source of the
- *  relevance mapping; both loss entry points go through it). */
+/** Relevance labels used by lambdaRankLoss, into a reused buffer: best
+ *  latency -> 1, others proportional to best/latency (the single source
+ *  of the relevance mapping; both loss entry points go through it). */
 void latencyToRelevanceInto(std::span<const double> latencies,
                             std::vector<double>& out);
 

@@ -30,7 +30,6 @@ class Adam
     void step();
 
     double lr() const { return lr_; }
-    void setLr(double lr) { lr_ = lr; }
 
   private:
     std::vector<ParamRef> params_;

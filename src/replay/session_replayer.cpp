@@ -60,6 +60,35 @@ refusePretrained(const EventFields& cfg)
     }
 }
 
+/** The built-in policy recorded under @p factory, rebuilt from its
+ *  construction parameters; FatalError for any other key. */
+std::unique_ptr<SearchPolicy>
+makeReplayPolicy(const std::string& factory, const DeviceSpec& device,
+                 const EventFields& cfg)
+{
+    if (factory == "Pruner" || factory == "MoA-Pruner") {
+        return makePrunerFromConfig(device, cfg);
+    }
+    if (factory == "Ansor") {
+        return baselines::makeAnsor(device, cfg.getU64("model_seed"));
+    }
+    if (factory == "MetaSchedule") {
+        return baselines::makeMetaSchedule(device, cfg.getU64("model_seed"));
+    }
+    if (factory == "TenSetMLP") {
+        refusePretrained(cfg);
+        return baselines::makeTenSetMlp(device, cfg.getU64("model_seed"), {},
+                                        cfg.getInt("online") != 0);
+    }
+    if (factory == "TLP") {
+        refusePretrained(cfg);
+        return baselines::makeTlp(device, cfg.getU64("model_seed"), {},
+                                  cfg.getInt("online") != 0);
+    }
+    PRUNER_FATAL("session replay: no factory registered for '" << factory
+                                                                << "'");
+}
+
 /** The registry workload whose display name matches @p name, truncated to
  *  @p tasks tasks; FatalError when nothing matches. */
 Workload
@@ -85,38 +114,6 @@ workloadByDisplayName(const std::string& name, size_t tasks)
 
 } // namespace
 
-SessionReplayer::SessionReplayer()
-{
-    factories_["Pruner"] = makePrunerFromConfig;
-    factories_["MoA-Pruner"] = makePrunerFromConfig;
-    factories_["Ansor"] = [](const DeviceSpec& device,
-                             const EventFields& cfg) {
-        return baselines::makeAnsor(device, cfg.getU64("model_seed"));
-    };
-    factories_["MetaSchedule"] = [](const DeviceSpec& device,
-                                    const EventFields& cfg) {
-        return baselines::makeMetaSchedule(device, cfg.getU64("model_seed"));
-    };
-    factories_["TenSetMLP"] = [](const DeviceSpec& device,
-                                 const EventFields& cfg) {
-        refusePretrained(cfg);
-        return baselines::makeTenSetMlp(device, cfg.getU64("model_seed"),
-                                        {}, cfg.getInt("online") != 0);
-    };
-    factories_["TLP"] = [](const DeviceSpec& device,
-                           const EventFields& cfg) {
-        refusePretrained(cfg);
-        return baselines::makeTlp(device, cfg.getU64("model_seed"), {},
-                                  cfg.getInt("online") != 0);
-    };
-}
-
-void
-SessionReplayer::registerFactory(const std::string& key, Factory factory)
-{
-    factories_[key] = std::move(factory);
-}
-
 ReplayResult
 SessionReplayer::replay(const SessionLog& recorded,
                         const ReplayEnv& env) const
@@ -134,22 +131,18 @@ SessionReplayer::replay(const SessionLog& recorded,
             "attached; its warm-start state is outside the log");
     }
 
-    // --- Policy ---------------------------------------------------------
-    const std::string factory_key = session.get("factory");
-    const auto it = factories_.find(factory_key);
-    if (it == factories_.end()) {
-        PRUNER_FATAL("session replay: no factory registered for '"
-                     << factory_key << "'");
-    }
+    // --- Device and policy ----------------------------------------------
     const SessionEvent* policycfg = recorded.find("policycfg");
     if (policycfg == nullptr) {
         PRUNER_FATAL("session replay: log has no 'policycfg' event");
     }
-
-    // --- Device and workload --------------------------------------------
     const DeviceSpec device = env.device != nullptr
                                   ? *env.device
                                   : DeviceSpec::byName(session.get("device"));
+    std::unique_ptr<SearchPolicy> policy = makeReplayPolicy(
+        session.get("factory"), device, EventFields(policycfg->line));
+
+    // --- Workload -------------------------------------------------------
     const size_t tasks = static_cast<size_t>(session.getInt("tasks"));
     Workload workload;
     if (env.workload != nullptr) {
@@ -160,9 +153,6 @@ SessionReplayer::replay(const SessionLog& recorded,
     } else {
         workload = workloadByDisplayName(session.get("workload"), tasks);
     }
-
-    std::unique_ptr<SearchPolicy> policy =
-        it->second(device, EventFields(policycfg->line));
 
     // --- Options --------------------------------------------------------
     TuneOptions opts;

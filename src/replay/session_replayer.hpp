@@ -17,13 +17,11 @@
  * Limitations (refused with FatalError):
  *  - sessions recorded with an ArtifactDb attached (warm-start state is
  *    outside the log),
- *  - policies whose factory key is not registered,
+ *  - policies outside the six built-in factory keys (Pruner, MoA-Pruner,
+ *    Ansor, TenSetMLP, TLP, MetaSchedule),
  *  - policies built around pretrained weights (not in the log).
  */
 
-#include <functional>
-#include <map>
-#include <memory>
 #include <string>
 
 #include "replay/session_log.hpp"
@@ -68,17 +66,6 @@ struct ReplayResult
 class SessionReplayer
 {
   public:
-    /** Builds a policy from the recorded construction parameters. */
-    using Factory = std::function<std::unique_ptr<SearchPolicy>(
-        const DeviceSpec& device, const EventFields& config)>;
-
-    /** Installs the built-in factories: Pruner, MoA-Pruner, Ansor,
-     *  TenSetMLP, TLP, MetaSchedule. */
-    SessionReplayer();
-
-    /** Register (or replace) a factory under @p key. */
-    void registerFactory(const std::string& key, Factory factory);
-
     /** Re-execute @p recorded and diff against it. */
     ReplayResult replay(const SessionLog& recorded,
                         const ReplayEnv& env = {}) const;
@@ -86,9 +73,6 @@ class SessionReplayer
     /** Convenience: load a saved log and replay it. */
     ReplayResult replayFile(const std::string& path,
                             const ReplayEnv& env = {}) const;
-
-  private:
-    std::map<std::string, Factory> factories_;
 };
 
 } // namespace pruner

@@ -13,18 +13,6 @@ constexpr uint64_t kLaunchSalt = 0xFA17'1A0C'4ED5'0001ull;
 constexpr uint64_t kTransientSalt = 0xFA17'71AE'0007'0002ull;
 } // namespace
 
-const char*
-faultKindName(FaultKind kind)
-{
-    switch (kind) {
-    case FaultKind::None: return "none";
-    case FaultKind::LaunchFailure: return "launch";
-    case FaultKind::Timeout: return "timeout";
-    case FaultKind::FlakyLatency: return "flaky";
-    }
-    return "?";
-}
-
 FaultKind
 FaultPlan::draw(uint64_t task_hash, uint64_t sched_hash, uint32_t attempt,
                 double* flaky_scale) const

@@ -39,9 +39,6 @@ enum class FaultKind : uint8_t {
     FlakyLatency = 3,  ///< injected transient latency perturbation
 };
 
-/** Human-readable fault-kind name ("none", "launch", "timeout", "flaky"). */
-const char* faultKindName(FaultKind kind);
-
 /** Deterministic per-candidate fault-injection plan for a Measurer. */
 struct FaultPlan
 {

@@ -80,58 +80,6 @@ Measurer::restoreState(const MeasurerState& state)
 }
 
 std::vector<double>
-Measurer::measure(const SubgraphTask& task,
-                  const std::vector<Schedule>& candidates)
-{
-    std::vector<double> out;
-    out.reserve(candidates.size());
-    const uint64_t task_hash = task.hash();
-    for (const auto& sch : candidates) {
-        const uint64_t sched_hash = sch.hash();
-        const uint32_t attempt = nextAttempt(task_hash, sched_hash);
-        double scale = 1.0;
-        FaultKind kind =
-            fault_plan_.enabled()
-                ? fault_plan_.draw(task_hash, sched_hash, attempt, &scale)
-                : FaultKind::None;
-        double latency;
-        if (kind == FaultKind::LaunchFailure || kind == FaultKind::Timeout) {
-            // The injected failure preempts the device: nothing to run.
-            latency = kInf;
-        } else {
-            latency = simulator_.measure(task, sch, rng_);
-            if (kind == FaultKind::FlakyLatency) {
-                if (std::isfinite(latency)) {
-                    latency *= scale;
-                } else {
-                    kind = FaultKind::None; // natural failure, no perturbation
-                }
-            }
-        }
-        out.push_back(latency);
-        counters_.trials->add();
-        if (!std::isfinite(latency)) {
-            counters_.failed->add();
-        }
-        countFault(kind);
-        if (clock_ != nullptr) {
-            clock_->charge(CostCategory::Compile,
-                           constants_.compile_per_trial);
-            double measure_s = constants_.measure_per_trial;
-            if (kind == FaultKind::Timeout) {
-                // A timed-out trial blocks the device for its full window.
-                measure_s += fault_plan_.timeout_extra_s;
-            }
-            clock_->charge(CostCategory::Measurement, measure_s);
-        }
-        if (recorder_ != nullptr) {
-            recorder_->onMeasurement(task_hash, sched_hash, latency, kind);
-        }
-    }
-    return out;
-}
-
-std::vector<double>
 Measurer::measureBatch(const SubgraphTask& task,
                        const std::vector<Schedule>& candidates)
 {

@@ -38,7 +38,7 @@ struct RoundBatch
 };
 
 /** Serializable mutable Measurer state (for checkpoint/resume): the
- *  serial-path noise stream, the per-batch seed cursor, and the fault
+ *  measureAdaptive noise stream, the per-batch seed cursor, and the fault
  *  plan's per-pair attempt counts. Everything else the Measurer holds is
  *  construction-fixed or borrowed wiring. */
 struct MeasurerState
@@ -103,12 +103,6 @@ class Measurer
     /** Attach a tracer (borrowed, may be nullptr): measureRound emits one
      *  "measure_round" span per call, stamped with simulated time. */
     void setTracer(obs::Tracer* tracer) { tracer_ = tracer; }
-
-    /** Measure candidates; +inf entries are failed launches. Charges
-     *  compile+measurement cost per trial. (Legacy serial path: draws
-     *  noise from one sequential stream.) */
-    std::vector<double> measure(const SubgraphTask& task,
-                                const std::vector<Schedule>& candidates);
 
     /**
      * Batched measurement: the parallel verify stage of the
@@ -234,7 +228,8 @@ class Measurer
     std::unordered_map<uint64_t, uint32_t> fault_attempts_;
     std::chrono::microseconds trial_latency_{0};
     /** Base of the per-batch seed derivation, fixed at construction so
-     *  measureBatch values never depend on interleaved measure() calls. */
+     *  measureBatch values never depend on interleaved measureAdaptive()
+     *  calls. */
     uint64_t batch_seed_base_;
     uint64_t batch_index_ = 0;
     size_t clock_lanes_ = 0;

@@ -1,12 +1,9 @@
 #include "search/record_log.hpp"
 
 #include <cmath>
-#include <fstream>
-#include <iterator>
 #include <locale>
 #include <sstream>
 
-#include "support/io.hpp"
 #include "support/logging.hpp"
 
 namespace pruner {
@@ -105,90 +102,6 @@ lineToRecord(const std::string& line,
         }
     }
     return false;
-}
-
-void
-appendRecordLog(const std::string& path,
-                const std::vector<MeasuredRecord>& records)
-{
-    std::string batch;
-    for (const auto& record : records) {
-        batch += io::withLineCrc(recordToLine(record));
-        batch.push_back('\n');
-    }
-    if (!io::appendFile(path, batch)) {
-        PRUNER_FATAL("write failure on record log " << path);
-    }
-}
-
-std::vector<MeasuredRecord>
-loadRecordLog(const std::string& path,
-              const std::vector<SubgraphTask>& known_tasks)
-{
-    auto records = tryLoadRecordLog(path, known_tasks);
-    if (!records.has_value()) {
-        PRUNER_FATAL("cannot open record log " << path);
-    }
-    return std::move(*records);
-}
-
-std::optional<std::vector<MeasuredRecord>>
-tryLoadRecordLog(const std::string& path,
-                 const std::vector<SubgraphTask>& known_tasks)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        return std::nullopt;
-    }
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    in.close();
-
-    // A crash mid-append leaves a final line without its newline; only
-    // complete lines are trustworthy, so the torn tail is dropped.
-    size_t usable = bytes.size();
-    if (usable > 0 && bytes[usable - 1] != '\n') {
-        const size_t last_nl = bytes.find_last_of('\n');
-        const size_t keep = last_nl == std::string::npos ? 0 : last_nl + 1;
-        PRUNER_WARN("record log '" << path << "' has a torn final line ("
-                                   << usable - keep
-                                   << " bytes); ignoring it");
-        usable = keep;
-    }
-
-    std::vector<MeasuredRecord> records;
-    size_t corrupt = 0;
-    size_t pos = 0;
-    while (pos < usable) {
-        const size_t eol = bytes.find('\n', pos);
-        std::string line = bytes.substr(pos, eol - pos);
-        pos = eol + 1;
-        if (line.empty()) {
-            continue;
-        }
-        if (io::checkLineCrc(line) == io::LineCrc::Mismatch) {
-            ++corrupt;
-            continue;
-        }
-        MeasuredRecord record;
-        if (lineToRecord(line, known_tasks, &record)) {
-            records.push_back(std::move(record));
-        }
-    }
-    if (corrupt > 0) {
-        PRUNER_WARN("record log '" << path << "': skipped " << corrupt
-                                   << " line(s) with CRC mismatch");
-    }
-    return records;
-}
-
-void
-replayIntoDb(const std::vector<MeasuredRecord>& records, TuningRecordDb* db)
-{
-    PRUNER_CHECK(db != nullptr);
-    for (const auto& record : records) {
-        db->add(record);
-    }
 }
 
 } // namespace pruner

@@ -2,7 +2,7 @@
 
 /**
  * @file record_log.hpp
- * Persistence for tuning records — the analog of TVM's JSON log files.
+ * The line codec for tuning records — the analog of TVM's JSON log lines.
  *
  * A tuned workload's value is the set of best schedules found; persisting
  * measured records lets a deployment apply them without re-tuning, warm-
@@ -13,16 +13,15 @@
  *
  * Numbers are always formatted and parsed in the classic ("C") locale so
  * logs written on one machine load on any other regardless of the global
- * locale. This module is the line codec; the persistent ArtifactDb
- * (src/db/artifact_db.hpp) builds its sharded on-disk store on top of it.
+ * locale. This module is only the line codec: the persistent ArtifactDb
+ * (src/db/artifact_db.hpp) is the one reader and writer of record files
+ * (its CRC-framed shards), and checkpoints embed the same lines.
  */
 
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "cost/cost_model.hpp"
-#include "search/tuning_record.hpp"
 
 namespace pruner {
 
@@ -54,31 +53,5 @@ bool lineToRawRecord(const std::string& line, RawRecordLine* out);
 bool lineToRecord(const std::string& line,
                   const std::vector<SubgraphTask>& known_tasks,
                   MeasuredRecord* out);
-
-/** Append records to a log file (creates it if missing). */
-void appendRecordLog(const std::string& path,
-                     const std::vector<MeasuredRecord>& records);
-
-/**
- * Load all records from @p path that reference one of @p known_tasks.
- * Malformed lines and unknown tasks are skipped; a missing file throws
- * FatalError.
- */
-std::vector<MeasuredRecord>
-loadRecordLog(const std::string& path,
-              const std::vector<SubgraphTask>& known_tasks);
-
-/**
- * Like loadRecordLog but a missing/unreadable file yields std::nullopt
- * instead of throwing, so warm-start-optional flows need no pre-existence
- * check. A present-but-partially-corrupt file still loads its good lines.
- */
-std::optional<std::vector<MeasuredRecord>>
-tryLoadRecordLog(const std::string& path,
-                 const std::vector<SubgraphTask>& known_tasks);
-
-/** Replay records into a TuningRecordDb (e.g. to warm-start tuning). */
-void replayIntoDb(const std::vector<MeasuredRecord>& records,
-                  TuningRecordDb* db);
 
 } // namespace pruner

@@ -23,20 +23,12 @@ TuningRecordDb::add(MeasuredRecord record)
     PRUNER_CHECK_MSG(std::isfinite(record.latency) && record.latency > 0.0,
                      "records must hold successful measurements");
     const uint64_t task_key = record.task.hash();
-    ++count_[task_key];
     seen_pairs_[pairKey(record.task, record.sch)] = 1;
     auto it = best_.find(task_key);
     if (it == best_.end() || record.latency < it->second.latency) {
         best_[task_key] = {record.latency, records_.size()};
     }
     records_.push_back(std::move(record));
-}
-
-size_t
-TuningRecordDb::countForTask(const SubgraphTask& task) const
-{
-    auto it = count_.find(task.hash());
-    return it == count_.end() ? 0 : it->second;
 }
 
 double
@@ -55,21 +47,6 @@ TuningRecordDb::bestSchedule(const SubgraphTask& task) const
         return nullptr;
     }
     return &records_[it->second.record_index].sch;
-}
-
-double
-TuningRecordDb::bestLatencyBefore(const SubgraphTask& task,
-                                  size_t upto) const
-{
-    const uint64_t key = task.hash();
-    double best = std::numeric_limits<double>::infinity();
-    const size_t n = std::min(upto, records_.size());
-    for (size_t i = 0; i < n; ++i) {
-        if (records_[i].task.hash() == key) {
-            best = std::min(best, records_[i].latency);
-        }
-    }
-    return best;
 }
 
 bool

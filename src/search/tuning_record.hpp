@@ -23,18 +23,11 @@ class TuningRecordDb
     /** All records, in insertion order. */
     const std::vector<MeasuredRecord>& records() const { return records_; }
 
-    /** Number of measurements recorded for @p task. */
-    size_t countForTask(const SubgraphTask& task) const;
-
     /** Best measured latency for @p task; +inf if none. */
     double bestLatency(const SubgraphTask& task) const;
 
     /** Best schedule for @p task; nullptr if none measured yet. */
     const Schedule* bestSchedule(const SubgraphTask& task) const;
-
-    /** Best latency for the task as of @p upto records inserted (for
-     *  improvement-rate estimation); +inf if none. */
-    double bestLatencyBefore(const SubgraphTask& task, size_t upto) const;
 
     /** True if @p sch was already measured for @p task. */
     bool measured(const SubgraphTask& task, const Schedule& sch) const;
@@ -53,7 +46,6 @@ class TuningRecordDb
 
     std::vector<MeasuredRecord> records_;
     std::unordered_map<uint64_t, BestEntry> best_;
-    std::unordered_map<uint64_t, size_t> count_;
     std::unordered_map<uint64_t, char> seen_pairs_;
 };
 

@@ -82,15 +82,6 @@ class Rng
         }
     }
 
-    /** Pick a uniformly random element (by reference). Requires non-empty. */
-    template <typename T>
-    const T&
-    choice(const std::vector<T>& v)
-    {
-        PRUNER_CHECK(!v.empty());
-        return v[index(v.size())];
-    }
-
     /** Spawn an independent child generator (for parallel determinism). */
     Rng split();
 

@@ -4,24 +4,6 @@
 
 namespace pruner {
 
-const char*
-costCategoryName(CostCategory c)
-{
-    switch (c) {
-      case CostCategory::Exploration:
-        return "exploration";
-      case CostCategory::Training:
-        return "training";
-      case CostCategory::Measurement:
-        return "measurement";
-      case CostCategory::Compile:
-        return "compile";
-      case CostCategory::Other:
-        return "other";
-    }
-    return "unknown";
-}
-
 const CostConstants&
 CostConstants::defaults()
 {

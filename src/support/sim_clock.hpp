@@ -33,9 +33,6 @@ enum class CostCategory : int {
 /** Number of cost categories. */
 constexpr int kNumCostCategories = 5;
 
-/** Human-readable name of a cost category. */
-const char* costCategoryName(CostCategory c);
-
 /**
  * Calibrated per-action simulated costs, in seconds.
  *

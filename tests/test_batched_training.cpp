@@ -4,6 +4,8 @@
  *    trainReference() for every learned model (PaCM incl. ablations,
  *    TenSetMLP, TLP) at 1 / 48 / 512 records, and post-train predictions
  *    agree bitwise with the per-candidate reference scoring,
+ *  - from a fresh model, both loops reach loss bits and weight hashes
+ *    frozen as constants, for the same five models,
  *  - the nn-level backwardBatch passes (Mlp, SelfAttention) accumulate
  *    bitwise the same parameter gradients as the per-record
  *    forward()+backward() loop, at any segment shape,
@@ -263,67 +265,6 @@ TEST(TrainingGolden, FrozenLossAndWeightHashes)
 }
 
 // ---------------------------------------------------------------------------
-// Cross-group task batching: train() pools task_batch groups into one
-// forward/backward with one deferred optimizer step, and must stay
-// byte-identical to trainReference at the same knob.
-
-TEST(TaskBatchIdentity, PacmPooledTrainMatchesReferenceAtEveryBatchSize)
-{
-    const auto records = makeRecords(96, 6, 53);
-    for (const size_t tb : {size_t{1}, size_t{2}, size_t{3}, size_t{8}}) {
-        PaCMModel batched(DeviceSpec::a100(), 29);
-        PaCMModel reference(DeviceSpec::a100(), 29);
-        batched.setTrainTaskBatch(tb);
-        reference.setTrainTaskBatch(tb);
-        const double batched_loss = batched.train(records, 2);
-        const double reference_loss = reference.trainReference(records, 2);
-        EXPECT_EQ(batched_loss, reference_loss)
-            << "loss diverged at task_batch=" << tb;
-        EXPECT_TRUE(bitwiseEqual(batched.getParams(),
-                                 reference.getParams()))
-            << "weights diverged at task_batch=" << tb;
-    }
-}
-
-TEST(TaskBatchIdentity, TlpPooledTrainMatchesReference)
-{
-    const auto records = makeRecords(72, 5, 57);
-    for (const size_t tb : {size_t{1}, size_t{3}, size_t{8}}) {
-        TlpCostModel batched(DeviceSpec::a100(), 33);
-        TlpCostModel reference(DeviceSpec::a100(), 33);
-        batched.setTrainTaskBatch(tb);
-        reference.setTrainTaskBatch(tb);
-        batched.train(records, 2);
-        reference.trainReference(records, 2);
-        EXPECT_TRUE(bitwiseEqual(batched.getParams(),
-                                 reference.getParams()))
-            << "TLP weights diverged at task_batch=" << tb;
-    }
-}
-
-TEST(AsyncBatchedTraining, CarriesTaskBatchKnobThroughDoubleBuffer)
-{
-    // The async trainer clones the front model (knob included) into its
-    // back buffer; an overlapped update at any worker count must land the
-    // same bytes as the per-record reference at the same knob.
-    const auto records = makeRecords(64, 4, 59);
-    for (const size_t workers : {size_t{1}, size_t{4}}) {
-        PaCMModel front(DeviceSpec::a100(), 31);
-        PaCMModel reference(DeviceSpec::a100(), 31);
-        front.setTrainTaskBatch(4);
-        reference.setTrainTaskBatch(4);
-        ThreadPool pool(workers);
-        AsyncModelTrainer trainer(front, pool);
-        trainer.beginUpdate(records, 2);
-        trainer.install();
-        reference.trainReference(records, 2);
-        EXPECT_TRUE(bitwiseEqual(front.getParams(), reference.getParams()))
-            << "task-batched async training diverged at " << workers
-            << " workers";
-    }
-}
-
-// ---------------------------------------------------------------------------
 // nn-level: backwardBatch vs the per-record forward()+backward() loop.
 
 /** Flatten every parameter gradient of @p params. */
@@ -527,9 +468,10 @@ TEST(ZeroAlloc, AttentionBackwardSteadyState)
 TEST(ZeroAlloc, PooledLossSteadyState)
 {
     // The training loop's per-group loss path: lambdaRankLossInto over
-    // each group slice of a pooled sub-pack, into a reused result +
-    // scratch. Once the capacities are warm, an epoch's worth of loss
-    // evaluations must not touch the heap.
+    // one group's scores and latencies at a time (an epoch's groups laid
+    // end to end here), into a reused result + scratch. Once the
+    // capacities are warm, an epoch's worth of loss evaluations must not
+    // touch the heap.
     Rng rng(239);
     std::vector<double> scores(48), latencies(48);
     for (size_t i = 0; i < scores.size(); ++i) {
@@ -556,7 +498,7 @@ TEST(ZeroAlloc, PooledLossSteadyState)
     pass();
     g_counting.store(false);
     EXPECT_EQ(g_alloc_events.load(), 0u)
-        << "steady-state pooled loss touched the heap";
+        << "steady-state per-group loss touched the heap";
 }
 
 // ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ TEST(FailureInjection, MeasurerCountsLaunchFailures)
     sch.repairOuter(task);
     SimClock clock;
     Measurer measurer(dev, &clock, 3);
-    const auto lats = measurer.measure(task, {sch, sch, sch});
+    const auto lats = measurer.measureBatch(task, {sch, sch, sch});
     EXPECT_EQ(measurer.failedTrials(), 3u);
     for (double l : lats) {
         // Exactly +inf: the sign matters — a -inf or NaN sentinel would

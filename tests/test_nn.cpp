@@ -669,7 +669,9 @@ TEST(Adam, ClipGradNormBoundsGlobalNorm)
 
 TEST(Loss, RelevanceLabelsInUnitInterval)
 {
-    const auto rel = latencyToRelevance({2.0, 1.0, 4.0});
+    const std::vector<double> latencies{2.0, 1.0, 4.0};
+    std::vector<double> rel;
+    latencyToRelevanceInto(latencies, rel);
     EXPECT_DOUBLE_EQ(rel[1], 1.0);
     EXPECT_DOUBLE_EQ(rel[0], 0.5);
     EXPECT_DOUBLE_EQ(rel[2], 0.25);
@@ -701,14 +703,6 @@ TEST(Loss, GradientsSumToZero)
         sum += g;
     }
     EXPECT_NEAR(sum, 0.0, 1e-12);
-}
-
-TEST(Loss, MseThroughputGradientDirection)
-{
-    const LossResult r = mseThroughputLoss({0.0, 0.0}, {1.0, 2.0});
-    // Targets are 1.0 and 0.5; scores 0 -> gradients negative.
-    EXPECT_LT(r.grad[0], 0.0);
-    EXPECT_LT(r.grad[1], 0.0);
 }
 
 TEST(Optimizer, FlattenUnflattenRoundTrip)

@@ -1,15 +1,15 @@
-/** Tests for src/search/record_log and the top-level API facade. */
+/** Tests for src/search/record_log (the record line codec) and the
+ *  top-level API facade. Record files are ArtifactDb shards; their
+ *  file-level handling (CRC framing, torn tails, quarantine) is tested in
+ *  test_artifact_db. */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <filesystem>
-#include <fstream>
 #include <locale>
 
 #include "pruner.hpp"
 #include "sched/sampler.hpp"
-#include "support/io.hpp"
 #include "support/logging.hpp"
 
 namespace pruner {
@@ -18,19 +18,15 @@ namespace {
 class RecordLogTest : public ::testing::Test
 {
   protected:
-    void
-    SetUp() override
+    /** @p record encoded to one line and decoded back. */
+    MeasuredRecord
+    roundTrip(const MeasuredRecord& record) const
     {
-        path_ = "/tmp/pruner_test_records.log";
-        std::filesystem::remove(path_);
-    }
-    void
-    TearDown() override
-    {
-        std::filesystem::remove(path_);
+        MeasuredRecord out;
+        EXPECT_TRUE(lineToRecord(recordToLine(record), {task_}, &out));
+        return out;
     }
 
-    std::string path_;
     SubgraphTask task_ = makeGemm("log", 1, 128, 128, 128);
     DeviceSpec dev_ = DeviceSpec::a100();
 };
@@ -39,77 +35,42 @@ TEST_F(RecordLogTest, RoundTripPreservesRecords)
 {
     ScheduleSampler sampler(task_, dev_);
     Rng rng(3);
-    std::vector<MeasuredRecord> records;
     for (int i = 0; i < 12; ++i) {
-        records.push_back({task_, sampler.sample(rng), 1e-4 + i * 1e-6});
+        const MeasuredRecord record{task_, sampler.sample(rng),
+                                    1e-4 + i * 1e-6};
+        const MeasuredRecord loaded = roundTrip(record);
+        EXPECT_EQ(loaded.task.hash(), record.task.hash());
+        EXPECT_EQ(loaded.sch, record.sch);
+        EXPECT_DOUBLE_EQ(loaded.latency, record.latency);
     }
-    appendRecordLog(path_, records);
-    const auto loaded = loadRecordLog(path_, {task_});
-    ASSERT_EQ(loaded.size(), records.size());
-    for (size_t i = 0; i < loaded.size(); ++i) {
-        EXPECT_EQ(loaded[i].task.hash(), records[i].task.hash());
-        EXPECT_EQ(loaded[i].sch, records[i].sch);
-        EXPECT_DOUBLE_EQ(loaded[i].latency, records[i].latency);
-    }
-}
-
-TEST_F(RecordLogTest, AppendAccumulates)
-{
-    ScheduleSampler sampler(task_, dev_);
-    Rng rng(5);
-    appendRecordLog(path_, {{task_, sampler.sample(rng), 1e-4}});
-    appendRecordLog(path_, {{task_, sampler.sample(rng), 2e-4}});
-    EXPECT_EQ(loadRecordLog(path_, {task_}).size(), 2u);
 }
 
 TEST_F(RecordLogTest, UnknownTasksAreSkipped)
 {
     ScheduleSampler sampler(task_, dev_);
     Rng rng(7);
-    appendRecordLog(path_, {{task_, sampler.sample(rng), 1e-4}});
+    const std::string line = recordToLine({task_, sampler.sample(rng), 1e-4});
     const auto other = makeGemm("other", 1, 64, 64, 64);
-    EXPECT_TRUE(loadRecordLog(path_, {other}).empty());
+    MeasuredRecord out;
+    EXPECT_FALSE(lineToRecord(line, {other}, &out));
+    EXPECT_TRUE(lineToRecord(line, {other, task_}, &out));
 }
 
 TEST_F(RecordLogTest, MalformedLinesAreSkipped)
 {
     ScheduleSampler sampler(task_, dev_);
     Rng rng(9);
-    appendRecordLog(path_, {{task_, sampler.sample(rng), 1e-4}});
-    {
-        std::ofstream out(path_, std::ios::app);
-        out << "garbage line without tabs\n";
-        out << "a\tb\tc\td\n"; // right arity, wrong content
-    }
-    EXPECT_EQ(loadRecordLog(path_, {task_}).size(), 1u);
+    MeasuredRecord out;
+    EXPECT_TRUE(lineToRecord(
+        recordToLine({task_, sampler.sample(rng), 1e-4}), {task_}, &out));
+    EXPECT_FALSE(lineToRecord("garbage line without tabs", {task_}, &out));
+    // Right arity, wrong content.
+    EXPECT_FALSE(lineToRecord("a\tb\tc\td", {task_}, &out));
 }
 
-TEST_F(RecordLogTest, MissingFileThrows)
-{
-    EXPECT_THROW(loadRecordLog("/tmp/definitely_missing.log", {task_}),
-                 FatalError);
-}
-
-TEST_F(RecordLogTest, TryLoadMissingFileReturnsNullopt)
-{
-    const auto missing =
-        tryLoadRecordLog("/tmp/definitely_missing.log", {task_});
-    EXPECT_FALSE(missing.has_value());
-}
-
-TEST_F(RecordLogTest, TryLoadPresentFileLoadsRecords)
-{
-    ScheduleSampler sampler(task_, dev_);
-    Rng rng(13);
-    appendRecordLog(path_, {{task_, sampler.sample(rng), 1e-4}});
-    const auto loaded = tryLoadRecordLog(path_, {task_});
-    ASSERT_TRUE(loaded.has_value());
-    EXPECT_EQ(loaded->size(), 1u);
-}
-
-/** Round-trip fuzz: every truncation of a valid line must parse cleanly
- *  or be rejected — never crash — and mutated garbage must not corrupt
- *  the records around it. */
+/** Mutation fuzz: every truncation of a valid line, byte-flipped copies
+ *  and plain garbage must decode cleanly or be rejected — never crash —
+ *  and decoding them must not disturb the valid lines decoded after. */
 TEST_F(RecordLogTest, FuzzTruncatedAndMutatedLines)
 {
     ScheduleSampler sampler(task_, dev_);
@@ -120,37 +81,29 @@ TEST_F(RecordLogTest, FuzzTruncatedAndMutatedLines)
     }
     const std::string valid_line = recordToLine(records[0]);
 
-    // Every prefix of a valid line either parses or is skipped.
+    std::vector<std::string> garbage;
     for (size_t cut = 0; cut <= valid_line.size(); ++cut) {
-        MeasuredRecord out;
-        EXPECT_NO_THROW(
-            lineToRecord(valid_line.substr(0, cut), {task_}, &out));
+        garbage.push_back(valid_line.substr(0, cut));
     }
+    for (size_t pos = 0; pos < valid_line.size(); pos += 7) {
+        std::string corrupted = valid_line;
+        corrupted[pos] = static_cast<char>(corrupted[pos] ^ 0x15);
+        garbage.push_back(corrupted);
+    }
+    garbage.push_back("\t\t\t");
+    garbage.push_back(std::string(512, 'x'));
 
-    // Interleave valid records with mutated garbage; only the valid ones
-    // survive loading.
-    appendRecordLog(path_, records);
-    {
-        std::ofstream app(path_, std::ios::app);
-        for (size_t cut = 1; cut + 1 < valid_line.size(); cut += 5) {
-            app << valid_line.substr(0, cut) << "\n";
-        }
-        std::string flipped = valid_line;
-        for (size_t pos = 0; pos < flipped.size(); pos += 7) {
-            std::string corrupted = flipped;
-            corrupted[pos] = static_cast<char>(corrupted[pos] ^ 0x15);
-            app << corrupted << "\n";
-        }
-        app << "\t\t\t\n" << std::string(512, 'x') << "\n";
-    }
-    std::vector<MeasuredRecord> loaded;
-    EXPECT_NO_THROW(loaded = loadRecordLog(path_, {task_}));
-    // All original records are among the survivors (some corrupted lines
-    // may still parse as valid records, e.g. a flipped latency digit).
-    ASSERT_GE(loaded.size(), records.size());
-    for (size_t i = 0; i < records.size(); ++i) {
-        EXPECT_EQ(loaded[i].sch, records[i].sch);
-        EXPECT_DOUBLE_EQ(loaded[i].latency, records[i].latency);
+    // Some mutants still decode (e.g. a flipped latency digit); the rest
+    // are rejected. Either way the next valid line decodes exactly.
+    MeasuredRecord out;
+    for (size_t g = 0; g < garbage.size(); ++g) {
+        EXPECT_NO_THROW(lineToRecord(garbage[g], {task_}, &out));
+        RawRecordLine raw;
+        EXPECT_NO_THROW(lineToRawRecord(garbage[g], &raw));
+        const MeasuredRecord& record = records[g % records.size()];
+        ASSERT_TRUE(lineToRecord(recordToLine(record), {task_}, &out));
+        EXPECT_EQ(out.sch, record.sch);
+        EXPECT_DOUBLE_EQ(out.latency, record.latency);
     }
 }
 
@@ -180,12 +133,13 @@ TEST_F(RecordLogTest, LocaleIndependentDoubleFormatting)
         }
     }
 
-    appendRecordLog(path_, records);
-    const auto loaded = loadRecordLog(path_, {task_});
+    std::vector<MeasuredRecord> loaded;
+    for (const auto& record : records) {
+        loaded.push_back(roundTrip(record));
+    }
     std::locale::global(old_locale);
     (void)switched;
 
-    ASSERT_EQ(loaded.size(), records.size());
     for (size_t i = 0; i < records.size(); ++i) {
         EXPECT_DOUBLE_EQ(loaded[i].latency, records[i].latency);
     }
@@ -203,99 +157,13 @@ TEST_F(RecordLogTest, RoundTripFuzzManySchedules)
 {
     ScheduleSampler sampler(task_, dev_);
     Rng rng(19);
-    std::vector<MeasuredRecord> records;
     for (int i = 0; i < 200; ++i) {
-        records.push_back(
-            {task_, sampler.sample(rng),
-             std::exp(rng.uniformReal(-20.0, 5.0))});
+        const MeasuredRecord record{task_, sampler.sample(rng),
+                                    std::exp(rng.uniformReal(-20.0, 5.0))};
+        const MeasuredRecord loaded = roundTrip(record);
+        EXPECT_EQ(loaded.sch, record.sch);
+        EXPECT_DOUBLE_EQ(loaded.latency, record.latency);
     }
-    appendRecordLog(path_, records);
-    const auto loaded = loadRecordLog(path_, {task_});
-    ASSERT_EQ(loaded.size(), records.size());
-    for (size_t i = 0; i < records.size(); ++i) {
-        EXPECT_EQ(loaded[i].sch, records[i].sch);
-        EXPECT_DOUBLE_EQ(loaded[i].latency, records[i].latency);
-    }
-}
-
-TEST_F(RecordLogTest, TornFinalLineIsDroppedWithoutLoss)
-{
-    ScheduleSampler sampler(task_, dev_);
-    Rng rng(21);
-    std::vector<MeasuredRecord> records;
-    for (int i = 0; i < 4; ++i) {
-        records.push_back({task_, sampler.sample(rng), 1e-4 + i * 1e-6});
-    }
-    appendRecordLog(path_, records);
-    // Emulate a crash mid-append: the start of a fifth record with no
-    // terminating newline.
-    {
-        std::ofstream out(path_, std::ios::app | std::ios::binary);
-        out << recordToLine({task_, sampler.sample(rng), 9e-4}).substr(0, 20);
-    }
-    const auto loaded = loadRecordLog(path_, {task_});
-    ASSERT_EQ(loaded.size(), records.size());
-    for (size_t i = 0; i < loaded.size(); ++i) {
-        EXPECT_EQ(loaded[i].sch, records[i].sch);
-        EXPECT_DOUBLE_EQ(loaded[i].latency, records[i].latency);
-    }
-}
-
-TEST_F(RecordLogTest, CrcMismatchLinesAreSkipped)
-{
-    ScheduleSampler sampler(task_, dev_);
-    Rng rng(23);
-    std::vector<MeasuredRecord> records;
-    for (int i = 0; i < 3; ++i) {
-        records.push_back({task_, sampler.sample(rng), 1e-4 + i * 1e-6});
-    }
-    appendRecordLog(path_, records);
-    // A flipped payload byte under a valid-looking CRC suffix must be
-    // rejected by the checksum even though the payload itself would still
-    // parse as a plausible record.
-    std::string framed =
-        io::withLineCrc(recordToLine({task_, sampler.sample(rng), 7e-4}));
-    framed[5] ^= 0x01; // corrupt the payload, keep the suffix intact
-    {
-        std::ofstream out(path_, std::ios::app | std::ios::binary);
-        out << framed << "\n";
-    }
-    const auto loaded = loadRecordLog(path_, {task_});
-    ASSERT_EQ(loaded.size(), records.size());
-    for (size_t i = 0; i < loaded.size(); ++i) {
-        EXPECT_DOUBLE_EQ(loaded[i].latency, records[i].latency);
-    }
-}
-
-TEST_F(RecordLogTest, PreCrcLinesStillLoad)
-{
-    // Logs written before CRC framing existed have bare payload lines;
-    // they must keep loading unchanged.
-    ScheduleSampler sampler(task_, dev_);
-    Rng rng(25);
-    const MeasuredRecord record{task_, sampler.sample(rng), 2e-4};
-    {
-        std::ofstream out(path_, std::ios::binary);
-        out << recordToLine(record) << "\n";
-    }
-    const auto loaded = loadRecordLog(path_, {task_});
-    ASSERT_EQ(loaded.size(), 1u);
-    EXPECT_EQ(loaded[0].sch, record.sch);
-    EXPECT_DOUBLE_EQ(loaded[0].latency, record.latency);
-}
-
-TEST_F(RecordLogTest, ReplayWarmStartsDb)
-{
-    ScheduleSampler sampler(task_, dev_);
-    Rng rng(11);
-    std::vector<MeasuredRecord> records;
-    for (int i = 0; i < 5; ++i) {
-        records.push_back({task_, sampler.sample(rng), 5e-4 - i * 1e-5});
-    }
-    TuningRecordDb db;
-    replayIntoDb(records, &db);
-    EXPECT_EQ(db.size(), 5u);
-    EXPECT_DOUBLE_EQ(db.bestLatency(task_), 5e-4 - 4e-5);
 }
 
 TEST(ApiFacade, MethodNames)

@@ -45,7 +45,6 @@ TEST_F(RecordDbTest, TracksBestPerTask)
     db.add(record(task_, b, 1.0e-3));
     EXPECT_DOUBLE_EQ(db.bestLatency(task_), 1.0e-3);
     EXPECT_EQ(db.bestSchedule(task_)->hash(), b.hash());
-    EXPECT_EQ(db.countForTask(task_), 2u);
 }
 
 TEST_F(RecordDbTest, RejectsNonFiniteLatency)
@@ -94,7 +93,7 @@ TEST(Measurer, ChargesClockPerTrial)
     Measurer measurer(dev, &clock, 5, constants);
     ScheduleSampler sampler(task, dev);
     Rng rng(3);
-    const auto lats = measurer.measure(task, sampler.sampleMany(rng, 7));
+    const auto lats = measurer.measureBatch(task, sampler.sampleMany(rng, 7));
     EXPECT_EQ(lats.size(), 7u);
     EXPECT_NEAR(clock.total(CostCategory::Measurement),
                 7 * constants.measure_per_trial, 1e-9);
@@ -113,7 +112,7 @@ TEST(Measurer, AdaptiveCostsLessButNoisier)
     Rng rng(3);
     const Schedule sch = sampler.sample(rng);
     const std::vector<Schedule> one{sch};
-    m.measure(task, one);
+    m.measureBatch(task, one);
     const double full_cost = clock.total(CostCategory::Measurement);
     clock.reset();
     m.measureAdaptive(task, one, 0.5, 0.1);

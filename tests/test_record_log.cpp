@@ -98,8 +98,6 @@ TEST_F(RecordLogTest, FuzzTruncatedAndMutatedLines)
     MeasuredRecord out;
     for (size_t g = 0; g < garbage.size(); ++g) {
         EXPECT_NO_THROW(lineToRecord(garbage[g], {task_}, &out));
-        RawRecordLine raw;
-        EXPECT_NO_THROW(lineToRawRecord(garbage[g], &raw));
         const MeasuredRecord& record = records[g % records.size()];
         ASSERT_TRUE(lineToRecord(recordToLine(record), {task_}, &out));
         EXPECT_EQ(out.sch, record.sch);

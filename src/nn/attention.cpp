@@ -7,36 +7,6 @@
 
 namespace pruner {
 
-namespace {
-
-/** Row-wise softmax on a raw [rows, cols] block — the exact loop of
- *  Matrix::softmaxRows (same ops, same order, same bytes), for the flat
- *  per-segment score blocks of the batched training forward. */
-void
-softmaxRowsRaw(double* data, size_t rows, size_t cols)
-{
-    if (cols == 0) {
-        return;
-    }
-    for (size_t i = 0; i < rows; ++i) {
-        double* r = data + i * cols;
-        double mx = r[0];
-        for (size_t j = 1; j < cols; ++j) {
-            mx = std::max(mx, r[j]);
-        }
-        double sum = 0.0;
-        for (size_t j = 0; j < cols; ++j) {
-            r[j] = std::exp(r[j] - mx);
-            sum += r[j];
-        }
-        for (size_t j = 0; j < cols; ++j) {
-            r[j] /= sum;
-        }
-    }
-}
-
-} // namespace
-
 SelfAttention::SelfAttention(size_t dim, Rng& rng)
     : dim_(dim),
       wq_(dim, dim, rng),
@@ -61,25 +31,14 @@ SelfAttention::forward(const Matrix& x)
 }
 
 Matrix
-SelfAttention::infer(const Matrix& x) const
-{
-    const Matrix q = wq_.infer(x);
-    const Matrix k = wk_.infer(x);
-    const Matrix v = wv_.infer(x);
-    Matrix attn = Matrix::matmulNT(q, k);
-    attn.scale(1.0 / std::sqrt(static_cast<double>(dim_)));
-    attn.softmaxRows();
-    return wo_.infer(Matrix::matmul(attn, v));
-}
-
-Matrix
 SelfAttention::inferReference(const Matrix& x) const
 {
     const Matrix q = wq_.inferReference(x);
     const Matrix k = wk_.inferReference(x);
     const Matrix v = wv_.inferReference(x);
-    // Frozen on the naive NT kernel (the dispatched nnkernel::matmulNT is
-    // self-checked bitwise against it, but the reference must not move).
+    // Frozen on the naive NT kernel: nnkernel::matmulNT runs on the
+    // dispatched matmul tiers, which produce the same bytes, but the
+    // reference must not move with them.
     Matrix attn(q.rows(), k.rows());
     nnkernel::matmulNTNaive(q.row(0), q.rows(), q.cols(), q.cols(),
                             k.row(0), k.rows(), k.cols(), attn.row(0),
@@ -123,9 +82,9 @@ SelfAttention::inferBatch(const Matrix& x, const SegmentTable& segs,
             // no-op).
             continue;
         }
-        // Q K^T straight off the row-major K pack (nnkernel::matmulNT):
-        // C[i][j] accumulates Q[i][kk] * K[j][kk] over ascending kk, the
-        // reference path's exact core — no K-transpose copy needed.
+        // Q K^T off the row-major K pack (nnkernel::matmulNT): C[i][j]
+        // accumulates Q[i][kk] * K[j][kk] over ascending kk, the
+        // reference path's exact core.
         attn.resize(t, t);
         nnkernel::matmulNT(q.row(b), t, dim_, dim_, k.row(b), t, dim_,
                            attn.row(0), t);
@@ -174,7 +133,7 @@ SelfAttention::forwardBatch(const Matrix& x, const SegmentTable& segs,
         for (size_t e = 0; e < t * t; ++e) {
             ablock[e] *= inv_sqrt_d;
         }
-        softmaxRowsRaw(ablock, t, t);
+        nnkernel::softmaxRows(ablock, t, t);
         nnkernel::matmul(ablock, t, t, t, v.row(b), dim_, dim_, ctx.row(b),
                          dim_);
     }
@@ -216,10 +175,11 @@ SelfAttention::backwardBatch(const Matrix& dy,
         dattn.resize(t, t);
         nnkernel::matmulNT(dctx->row(b), t, dim_, dim_, cache.v->row(b), t,
                            dim_, dattn.row(0), t);
-        // dV = A^T dctx (reference: Matrix::matmulTN from a zero matrix).
+        // dV = A^T dctx (reference: Matrix::matmulTN): one segment of t
+        // rows folded into the zeroed block, which equals matmulTN.
         std::fill(dv.row(b), dv.row(b) + t * dim_, 0.0);
-        nnkernel::matmulTNAcc(ablock, t, t, t, dctx->row(b), dim_, dim_,
-                              dv.row(b), dim_);
+        nnkernel::matmulTNSegBlocked(ablock, t, dctx->row(b), dim_, &t, 1,
+                                     t, dim_, dv.row(b), dim_);
         // Softmax backward per row: dS = A .* (dA - rowsum(dA .* A)).
         for (size_t i = 0; i < t; ++i) {
             const double* arow = ablock + i * t;
@@ -238,10 +198,11 @@ SelfAttention::backwardBatch(const Matrix& dy,
         // dQ = dS K (reference: Matrix::matmul through the fast kernel).
         nnkernel::matmul(dattn.row(0), t, t, t, cache.k->row(b), dim_, dim_,
                          dq.row(b), dim_);
-        // dK = dS^T Q (reference: Matrix::matmulTN from a zero matrix).
+        // dK = dS^T Q (reference: Matrix::matmulTN), the same one-segment
+        // fold into a zeroed block.
         std::fill(dk.row(b), dk.row(b) + t * dim_, 0.0);
-        nnkernel::matmulTNAcc(dattn.row(0), t, t, t, cache.q->row(b), dim_,
-                              dim_, dk.row(b), dim_);
+        nnkernel::matmulTNSegBlocked(dattn.row(0), t, cache.q->row(b), dim_,
+                                     &t, 1, t, dim_, dk.row(b), dim_);
     }
     // Projection backward in the per-record order (wq, wk, wv), with the
     // same elementwise dx add sequence.

@@ -43,17 +43,14 @@ class SelfAttention
     /** Forward for one sequence x: [T, dim]; caches for backward. */
     Matrix forward(const Matrix& x);
 
-    /** Cache-free forward (inference only). */
-    Matrix infer(const Matrix& x) const;
-
     /**
      * Batched inference over @p segs.count() sequences packed row-wise in
      * @p x: the Q/K/V/output projections each run as one GEMM over the
      * whole pack, and only the [T, T] attention core runs per segment
      * (attention must not leak across candidates, so the scores matrix is
      * block-diagonal by construction). Intermediates come from @p ws; each
-     * segment's output rows are byte-identical to infer() on that segment
-     * alone. Returns a workspace-owned [x.rows, dim] matrix.
+     * segment's output rows are byte-identical to inferReference() on that
+     * segment alone. Returns a workspace-owned [x.rows, dim] matrix.
      */
     const Matrix& inferBatch(const Matrix& x, const SegmentTable& segs,
                              Workspace& ws) const;

@@ -23,14 +23,6 @@ Linear::forward(const Matrix& x)
     return y;
 }
 
-Matrix
-Linear::infer(const Matrix& x) const
-{
-    Matrix y = Matrix::matmul(x, w_);
-    y.addRowVector(b_);
-    return y;
-}
-
 void
 Linear::inferInto(const Matrix& x, Matrix& y, bool relu_after) const
 {
@@ -144,22 +136,11 @@ Linear::backwardBatch(const Matrix& x, const Matrix& dy,
     if (!need_dx) {
         return nullptr;
     }
-    // dX = dY W^T through the top GEMM tier on an explicit W transpose
-    // (W is layer-sized, so the transpose is trivial next to the
-    // pack-sized GEMM): each dX element still accumulates
-    // dY[i][kk] * W[j][kk] over ascending kk, so the bytes equal
-    // nnkernel::matmulNT — the same equivalence PR 4's attention core
-    // used on the inference side.
-    Matrix& wt = ws.alloc(w_.cols(), w_.rows());
-    for (size_t r = 0; r < w_.rows(); ++r) {
-        const double* wr = w_.row(r);
-        for (size_t col = 0; col < w_.cols(); ++col) {
-            wt.at(col, r) = wr[col];
-        }
-    }
+    // dX = dY W^T over the whole pack (row-independent, so each row's
+    // bytes match the per-record backward's Matrix::matmulNT).
     Matrix& dx = ws.alloc(dy.rows(), w_.rows());
-    nnkernel::matmul(dy.row(0), dy.rows(), dy.cols(), dy.cols(), wt.row(0),
-                     wt.cols(), wt.cols(), dx.row(0), dx.cols());
+    nnkernel::matmulNT(dy.row(0), dy.rows(), dy.cols(), dy.cols(), w_.row(0),
+                       w_.rows(), w_.cols(), dx.row(0), dx.cols());
     return &dx;
 }
 
@@ -221,19 +202,6 @@ Mlp::forward(const Matrix& x)
         h = linears_[i].forward(h);
         if (i < relus_.size()) {
             h = relus_[i].forward(h);
-        }
-    }
-    return h;
-}
-
-Matrix
-Mlp::infer(const Matrix& x) const
-{
-    Matrix h = x;
-    for (size_t i = 0; i < linears_.size(); ++i) {
-        h = linears_[i].infer(h);
-        if (i < relus_.size()) {
-            h = relus_[i].infer(h);
         }
     }
     return h;

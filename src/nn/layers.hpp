@@ -45,17 +45,14 @@ class Linear
     /** Forward pass; caches the input for backward. x: [n, in]. */
     Matrix forward(const Matrix& x);
 
-    /** Forward without caching (inference-only, reentrant-safe). */
-    Matrix infer(const Matrix& x) const;
-
-    /** infer() into a caller-owned buffer: y = x W + b, no allocation when
-     *  y's capacity suffices. The bias (and, when @p relu_after, the
-     *  rectifier) is fused into the kernel's store epilogue — byte-equal
-     *  to the standalone passes without re-touching y. @p y must not
-     *  alias @p x. */
+    /** Cache-free forward into a caller-owned buffer: y = x W + b, no
+     *  allocation when y's capacity suffices. The bias (and, when
+     *  @p relu_after, the rectifier) is fused into the kernel's store
+     *  epilogue — byte-equal to the standalone passes without re-touching
+     *  y. @p y must not alias @p x. */
     void inferInto(const Matrix& x, Matrix& y, bool relu_after = false) const;
 
-    /** The pre-batching infer(), frozen on the naive golden kernel
+    /** The pre-batching forward, frozen on the naive golden kernel
      *  (nnkernel::matmulNaive): the byte-identity reference the batched
      *  engine is differentially tested against. */
     Matrix inferReference(const Matrix& x) const;
@@ -69,12 +66,12 @@ class Linear
      * segment order — byte-identical to running the per-record
      * `backward()` (matmulTN + colSum, then add) for each segment in
      * turn, because the partial reuses the exact accumulation order of
-     * those ops (nnkernel::matmulTNAcc). dL/dX comes back as a single NT
-     * GEMM over the whole pack (row-independent, so also byte-identical
-     * per row). @p x must be the forward input pack; pass
-     * `need_dx = false` for the first layer to skip the dX GEMM (returns
-     * nullptr). Intermediates live in @p ws; zero heap allocations once
-     * the workspace is warm.
+     * those ops (dW through nnkernel::matmulTNSegBlocked). dL/dX comes
+     * back as a single nnkernel::matmulNT GEMM over the whole pack
+     * (row-independent, so also byte-identical per row). @p x must be the
+     * forward input pack; pass `need_dx = false` for the first layer to
+     * skip the dX GEMM (returns nullptr). Intermediates live in @p ws;
+     * zero heap allocations once the workspace is warm.
      */
     Matrix* backwardBatch(const Matrix& x, const Matrix& dy,
                           const SegmentTable& segs, Workspace& ws,
@@ -115,15 +112,15 @@ class Mlp
     Mlp(const std::vector<size_t>& dims, Rng& rng);
 
     Matrix forward(const Matrix& x);
-    Matrix infer(const Matrix& x) const;
 
     /**
      * Batched inference over a packed row matrix: every layer is one GEMM
      * over all rows, with intermediates drawn from @p ws (zero heap
      * allocations once the workspace is warm). Each output row is
-     * byte-identical to infer() on that row alone — every row-level op is
-     * row-independent with an unchanged accumulation order. Returns a
-     * workspace-owned matrix, valid until the next ws.reset().
+     * byte-identical to inferReference() on that row alone — every
+     * row-level op is row-independent with an unchanged accumulation
+     * order. Returns a workspace-owned matrix, valid until the next
+     * ws.reset().
      */
     const Matrix& inferBatch(const Matrix& x, Workspace& ws) const;
 
@@ -143,11 +140,11 @@ class Mlp
     /**
      * Segment-aware batched backward through the stack: per-layer dW/db
      * partials per segment (ascending order, see Linear::backwardBatch),
-     * ReLU masking from the cached post-activations, and one NT GEMM per
-     * layer for the inter-layer gradients. Byte-identical parameter
-     * gradients to running the per-record forward()+backward() for each
-     * segment in pack order. Returns ws-owned dL/dx, or nullptr when
-     * @p need_dx is false.
+     * ReLU masking from the cached post-activations, and one dX = dY W^T
+     * GEMM per layer (nnkernel::matmulNT) for the inter-layer gradients.
+     * Byte-identical parameter gradients to running the per-record
+     * forward()+backward() for each segment in pack order. Returns
+     * ws-owned dL/dx, or nullptr when @p need_dx is false.
      */
     Matrix* backwardBatch(const Matrix& dy, const BatchActs& acts,
                           const SegmentTable& segs, Workspace& ws,

@@ -312,478 +312,6 @@ matmulAvx512(const double* a, size_t m, size_t k, size_t lda,
 #pragma GCC diagnostic pop
 
 /**
- * AVX2 NT micro-kernel: a 4x4 block of C = A B^T where each output element
- * owns one vector lane accumulating a[i][kk] * b[j][kk] over ascending kk
- * with separate _mm256_mul_pd / _mm256_add_pd roundings — the exact
- * per-element sequence of the naive NT loop, so the bytes match. The four
- * B rows of a j panel are gathered with set_pd (B has no contiguous
- * k-major layout to stream); the win over scalar is four independent
- * accumulator chains per vector instead of one latency-bound chain.
- */
-__attribute__((target("avx2"))) void
-matmulNTAvx2(const double* a, size_t m, size_t k, size_t lda,
-             const double* b, size_t n, size_t ldb, double* c, size_t ldc)
-{
-    size_t i0 = 0;
-    for (; i0 + 4 <= m; i0 += 4) {
-        const double* a0 = a + i0 * lda;
-        size_t j0 = 0;
-        for (; j0 + 4 <= n; j0 += 4) {
-            const double* b0 = b + (j0 + 0) * ldb;
-            const double* b1 = b + (j0 + 1) * ldb;
-            const double* b2 = b + (j0 + 2) * ldb;
-            const double* b3 = b + (j0 + 3) * ldb;
-            __m256d acc0 = _mm256_setzero_pd();
-            __m256d acc1 = _mm256_setzero_pd();
-            __m256d acc2 = _mm256_setzero_pd();
-            __m256d acc3 = _mm256_setzero_pd();
-            size_t kk = 0;
-            // Four k steps per iteration: load the four B rows'
-            // contiguous k panels and transpose them in registers, so
-            // every B scalar arrives via a vector load instead of a
-            // gather. The k steps still apply in ascending order — the
-            // per-element rounding sequence is untouched.
-            for (; kk + 4 <= k; kk += 4) {
-                const __m256d r0 = _mm256_loadu_pd(b0 + kk);
-                const __m256d r1 = _mm256_loadu_pd(b1 + kk);
-                const __m256d r2 = _mm256_loadu_pd(b2 + kk);
-                const __m256d r3 = _mm256_loadu_pd(b3 + kk);
-                const __m256d t0 = _mm256_unpacklo_pd(r0, r1);
-                const __m256d t1 = _mm256_unpackhi_pd(r0, r1);
-                const __m256d t2 = _mm256_unpacklo_pd(r2, r3);
-                const __m256d t3 = _mm256_unpackhi_pd(r2, r3);
-                const __m256d bv[4] = {
-                    _mm256_permute2f128_pd(t0, t2, 0x20),
-                    _mm256_permute2f128_pd(t1, t3, 0x20),
-                    _mm256_permute2f128_pd(t0, t2, 0x31),
-                    _mm256_permute2f128_pd(t1, t3, 0x31),
-                };
-                for (size_t q = 0; q < 4; ++q) {
-                    __m256d av = _mm256_set1_pd(a0[0 * lda + kk + q]);
-                    acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(av, bv[q]));
-                    av = _mm256_set1_pd(a0[1 * lda + kk + q]);
-                    acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(av, bv[q]));
-                    av = _mm256_set1_pd(a0[2 * lda + kk + q]);
-                    acc2 = _mm256_add_pd(acc2, _mm256_mul_pd(av, bv[q]));
-                    av = _mm256_set1_pd(a0[3 * lda + kk + q]);
-                    acc3 = _mm256_add_pd(acc3, _mm256_mul_pd(av, bv[q]));
-                }
-            }
-            for (; kk < k; ++kk) {
-                const __m256d bv =
-                    _mm256_set_pd(b3[kk], b2[kk], b1[kk], b0[kk]);
-                __m256d av = _mm256_set1_pd(a0[0 * lda + kk]);
-                acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(av, bv));
-                av = _mm256_set1_pd(a0[1 * lda + kk]);
-                acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(av, bv));
-                av = _mm256_set1_pd(a0[2 * lda + kk]);
-                acc2 = _mm256_add_pd(acc2, _mm256_mul_pd(av, bv));
-                av = _mm256_set1_pd(a0[3 * lda + kk]);
-                acc3 = _mm256_add_pd(acc3, _mm256_mul_pd(av, bv));
-            }
-            _mm256_storeu_pd(c + (i0 + 0) * ldc + j0, acc0);
-            _mm256_storeu_pd(c + (i0 + 1) * ldc + j0, acc1);
-            _mm256_storeu_pd(c + (i0 + 2) * ldc + j0, acc2);
-            _mm256_storeu_pd(c + (i0 + 3) * ldc + j0, acc3);
-        }
-        for (; j0 < n; ++j0) {
-            const double* brow = b + j0 * ldb;
-            for (size_t ii = 0; ii < 4; ++ii) {
-                const double* arow = a0 + ii * lda;
-                double acc = 0.0;
-                for (size_t kk = 0; kk < k; ++kk) {
-                    acc += arow[kk] * brow[kk];
-                }
-                c[(i0 + ii) * ldc + j0] = acc;
-            }
-        }
-    }
-    if (i0 < m) {
-        matmulNTNaive(a + i0 * lda, m - i0, k, lda, b, n, ldb, c + i0 * ldc,
-                      ldc);
-    }
-}
-
-/**
- * AVX-512 NT micro-kernel: a 4x8 block of C = A B^T where each output
- * element owns one ZMM lane accumulating a[i][kk] * b[j][kk] over
- * ascending kk with separate _mm512_mul_pd / _mm512_add_pd roundings —
- * the exact per-element sequence of the naive NT loop, so the bytes
- * match. k advances four steps at a time: the eight B rows' contiguous
- * k panels are transposed four-at-a-time in YMM registers (the AVX2
- * kernel's in-register transpose, twice) and the halves spliced into one
- * ZMM with insertf64x4, so every B scalar arrives via a vector load; the
- * k tail gathers with set_pd. Row and column remainders defer to the
- * AVX2 NT kernel (which defers its own row remainder to the naive loop),
- * so accepting this tier requires the AVX2 tier's self-check too.
- */
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-__attribute__((target("avx512f"))) void
-matmulNTAvx512(const double* a, size_t m, size_t k, size_t lda,
-               const double* b, size_t n, size_t ldb, double* c, size_t ldc)
-{
-    size_t i0 = 0;
-    for (; i0 + 4 <= m; i0 += 4) {
-        const double* a0 = a + i0 * lda;
-        size_t j0 = 0;
-        for (; j0 + 8 <= n; j0 += 8) {
-            const double* b0 = b + (j0 + 0) * ldb;
-            const double* b1 = b + (j0 + 1) * ldb;
-            const double* b2 = b + (j0 + 2) * ldb;
-            const double* b3 = b + (j0 + 3) * ldb;
-            const double* b4 = b + (j0 + 4) * ldb;
-            const double* b5 = b + (j0 + 5) * ldb;
-            const double* b6 = b + (j0 + 6) * ldb;
-            const double* b7 = b + (j0 + 7) * ldb;
-            __m512d acc0 = _mm512_setzero_pd();
-            __m512d acc1 = _mm512_setzero_pd();
-            __m512d acc2 = _mm512_setzero_pd();
-            __m512d acc3 = _mm512_setzero_pd();
-            size_t kk = 0;
-            for (; kk + 4 <= k; kk += 4) {
-                const __m256d r0 = _mm256_loadu_pd(b0 + kk);
-                const __m256d r1 = _mm256_loadu_pd(b1 + kk);
-                const __m256d r2 = _mm256_loadu_pd(b2 + kk);
-                const __m256d r3 = _mm256_loadu_pd(b3 + kk);
-                const __m256d r4 = _mm256_loadu_pd(b4 + kk);
-                const __m256d r5 = _mm256_loadu_pd(b5 + kk);
-                const __m256d r6 = _mm256_loadu_pd(b6 + kk);
-                const __m256d r7 = _mm256_loadu_pd(b7 + kk);
-                const __m256d t0 = _mm256_unpacklo_pd(r0, r1);
-                const __m256d t1 = _mm256_unpackhi_pd(r0, r1);
-                const __m256d t2 = _mm256_unpacklo_pd(r2, r3);
-                const __m256d t3 = _mm256_unpackhi_pd(r2, r3);
-                const __m256d s0 = _mm256_unpacklo_pd(r4, r5);
-                const __m256d s1 = _mm256_unpackhi_pd(r4, r5);
-                const __m256d s2 = _mm256_unpacklo_pd(r6, r7);
-                const __m256d s3 = _mm256_unpackhi_pd(r6, r7);
-                const __m256d lo[4] = {
-                    _mm256_permute2f128_pd(t0, t2, 0x20),
-                    _mm256_permute2f128_pd(t1, t3, 0x20),
-                    _mm256_permute2f128_pd(t0, t2, 0x31),
-                    _mm256_permute2f128_pd(t1, t3, 0x31),
-                };
-                const __m256d hi[4] = {
-                    _mm256_permute2f128_pd(s0, s2, 0x20),
-                    _mm256_permute2f128_pd(s1, s3, 0x20),
-                    _mm256_permute2f128_pd(s0, s2, 0x31),
-                    _mm256_permute2f128_pd(s1, s3, 0x31),
-                };
-                for (size_t q = 0; q < 4; ++q) {
-                    const __m512d bv = _mm512_insertf64x4(
-                        _mm512_castpd256_pd512(lo[q]), hi[q], 1);
-                    __m512d av = _mm512_set1_pd(a0[0 * lda + kk + q]);
-                    acc0 = _mm512_add_pd(acc0, _mm512_mul_pd(av, bv));
-                    av = _mm512_set1_pd(a0[1 * lda + kk + q]);
-                    acc1 = _mm512_add_pd(acc1, _mm512_mul_pd(av, bv));
-                    av = _mm512_set1_pd(a0[2 * lda + kk + q]);
-                    acc2 = _mm512_add_pd(acc2, _mm512_mul_pd(av, bv));
-                    av = _mm512_set1_pd(a0[3 * lda + kk + q]);
-                    acc3 = _mm512_add_pd(acc3, _mm512_mul_pd(av, bv));
-                }
-            }
-            for (; kk < k; ++kk) {
-                const __m512d bv =
-                    _mm512_set_pd(b7[kk], b6[kk], b5[kk], b4[kk], b3[kk],
-                                  b2[kk], b1[kk], b0[kk]);
-                __m512d av = _mm512_set1_pd(a0[0 * lda + kk]);
-                acc0 = _mm512_add_pd(acc0, _mm512_mul_pd(av, bv));
-                av = _mm512_set1_pd(a0[1 * lda + kk]);
-                acc1 = _mm512_add_pd(acc1, _mm512_mul_pd(av, bv));
-                av = _mm512_set1_pd(a0[2 * lda + kk]);
-                acc2 = _mm512_add_pd(acc2, _mm512_mul_pd(av, bv));
-                av = _mm512_set1_pd(a0[3 * lda + kk]);
-                acc3 = _mm512_add_pd(acc3, _mm512_mul_pd(av, bv));
-            }
-            _mm512_storeu_pd(c + (i0 + 0) * ldc + j0, acc0);
-            _mm512_storeu_pd(c + (i0 + 1) * ldc + j0, acc1);
-            _mm512_storeu_pd(c + (i0 + 2) * ldc + j0, acc2);
-            _mm512_storeu_pd(c + (i0 + 3) * ldc + j0, acc3);
-        }
-        if (j0 < n) {
-            // Column remainder: the AVX2 kernel on the same four rows
-            // with the remaining B rows as its whole B.
-            matmulNTAvx2(a0, 4, k, lda, b + j0 * ldb, n - j0, ldb,
-                         c + i0 * ldc + j0, ldc);
-        }
-    }
-    // Row remainder (1-3 rows): keep the 8-wide ZMM panels instead of
-    // falling through the AVX2 kernel into the naive loop. The in-register
-    // B-panel transpose is shared by every remainder row, so its cost
-    // amortizes; each output element still owns one lane accumulating over
-    // ascending kk with separate mul/add roundings.
-    if (i0 < m) {
-        const size_t mr = m - i0;
-        const double* a0 = a + i0 * lda;
-        size_t j0 = 0;
-        for (; j0 + 8 <= n; j0 += 8) {
-            const double* brows[8];
-            for (size_t q = 0; q < 8; ++q) {
-                brows[q] = b + (j0 + q) * ldb;
-            }
-            __m512d acc[3] = {_mm512_setzero_pd(), _mm512_setzero_pd(),
-                              _mm512_setzero_pd()};
-            size_t kk = 0;
-            for (; kk + 4 <= k; kk += 4) {
-                const __m256d r0 = _mm256_loadu_pd(brows[0] + kk);
-                const __m256d r1 = _mm256_loadu_pd(brows[1] + kk);
-                const __m256d r2 = _mm256_loadu_pd(brows[2] + kk);
-                const __m256d r3 = _mm256_loadu_pd(brows[3] + kk);
-                const __m256d r4 = _mm256_loadu_pd(brows[4] + kk);
-                const __m256d r5 = _mm256_loadu_pd(brows[5] + kk);
-                const __m256d r6 = _mm256_loadu_pd(brows[6] + kk);
-                const __m256d r7 = _mm256_loadu_pd(brows[7] + kk);
-                const __m256d t0 = _mm256_unpacklo_pd(r0, r1);
-                const __m256d t1 = _mm256_unpackhi_pd(r0, r1);
-                const __m256d t2 = _mm256_unpacklo_pd(r2, r3);
-                const __m256d t3 = _mm256_unpackhi_pd(r2, r3);
-                const __m256d s0 = _mm256_unpacklo_pd(r4, r5);
-                const __m256d s1 = _mm256_unpackhi_pd(r4, r5);
-                const __m256d s2 = _mm256_unpacklo_pd(r6, r7);
-                const __m256d s3 = _mm256_unpackhi_pd(r6, r7);
-                const __m256d lo[4] = {
-                    _mm256_permute2f128_pd(t0, t2, 0x20),
-                    _mm256_permute2f128_pd(t1, t3, 0x20),
-                    _mm256_permute2f128_pd(t0, t2, 0x31),
-                    _mm256_permute2f128_pd(t1, t3, 0x31),
-                };
-                const __m256d hi[4] = {
-                    _mm256_permute2f128_pd(s0, s2, 0x20),
-                    _mm256_permute2f128_pd(s1, s3, 0x20),
-                    _mm256_permute2f128_pd(s0, s2, 0x31),
-                    _mm256_permute2f128_pd(s1, s3, 0x31),
-                };
-                for (size_t q = 0; q < 4; ++q) {
-                    const __m512d bv = _mm512_insertf64x4(
-                        _mm512_castpd256_pd512(lo[q]), hi[q], 1);
-                    for (size_t ii = 0; ii < mr; ++ii) {
-                        const __m512d av =
-                            _mm512_set1_pd(a0[ii * lda + kk + q]);
-                        acc[ii] = _mm512_add_pd(acc[ii],
-                                                _mm512_mul_pd(av, bv));
-                    }
-                }
-            }
-            for (; kk < k; ++kk) {
-                const __m512d bv = _mm512_set_pd(
-                    brows[7][kk], brows[6][kk], brows[5][kk], brows[4][kk],
-                    brows[3][kk], brows[2][kk], brows[1][kk], brows[0][kk]);
-                for (size_t ii = 0; ii < mr; ++ii) {
-                    const __m512d av = _mm512_set1_pd(a0[ii * lda + kk]);
-                    acc[ii] =
-                        _mm512_add_pd(acc[ii], _mm512_mul_pd(av, bv));
-                }
-            }
-            for (size_t ii = 0; ii < mr; ++ii) {
-                _mm512_storeu_pd(c + (i0 + ii) * ldc + j0, acc[ii]);
-            }
-        }
-        if (j0 < n) {
-            // Column remainder on the remainder rows: the AVX2 kernel
-            // (whose own m<4 path is the naive loop on these small tails).
-            matmulNTAvx2(a0, mr, k, lda, b + j0 * ldb, n - j0, ldb,
-                         c + i0 * ldc + j0, ldc);
-        }
-    }
-}
-#pragma GCC diagnostic pop
-
-/**
- * AVX2 accumulating TNAcc micro-kernel, blocked 4 rows at a time: each C
- * element loads once, receives its (up to) four terms in ascending row
- * order with separate mul/add roundings, and stores once — a quarter of
- * the naive loop's C traffic, which dominates the per-segment dW
- * partials. Skipped-by-the-naive-loop ±0 terms are added here instead;
- * that is a byte-level no-op because a gradient accumulator chain can
- * never hold -0.0 (see the matmulTNAcc contract).
- */
-__attribute__((target("avx2"))) void
-matmulTNAccAvx2(const double* a, size_t rows, size_t acols, size_t lda,
-                const double* b, size_t bcols, size_t ldb, double* c,
-                size_t ldc)
-{
-    size_t r0 = 0;
-    for (; r0 + 4 <= rows; r0 += 4) {
-        const double* a0 = a + (r0 + 0) * lda;
-        const double* a1 = a + (r0 + 1) * lda;
-        const double* a2 = a + (r0 + 2) * lda;
-        const double* a3 = a + (r0 + 3) * lda;
-        const double* b0 = b + (r0 + 0) * ldb;
-        const double* b1 = b + (r0 + 1) * ldb;
-        const double* b2 = b + (r0 + 2) * ldb;
-        const double* b3 = b + (r0 + 3) * ldb;
-        for (size_t i = 0; i < acols; ++i) {
-            const double a0i = a0[i];
-            const double a1i = a1[i];
-            const double a2i = a2[i];
-            const double a3i = a3[i];
-            if (a0i == 0.0 && a1i == 0.0 && a2i == 0.0 && a3i == 0.0) {
-                continue; // whole-block skip (zero-padding rows)
-            }
-            double* crow = c + i * ldc;
-            const __m256d va0 = _mm256_set1_pd(a0i);
-            const __m256d va1 = _mm256_set1_pd(a1i);
-            const __m256d va2 = _mm256_set1_pd(a2i);
-            const __m256d va3 = _mm256_set1_pd(a3i);
-            size_t j = 0;
-            for (; j + 4 <= bcols; j += 4) {
-                __m256d acc = _mm256_loadu_pd(crow + j);
-                acc = _mm256_add_pd(
-                    acc, _mm256_mul_pd(va0, _mm256_loadu_pd(b0 + j)));
-                acc = _mm256_add_pd(
-                    acc, _mm256_mul_pd(va1, _mm256_loadu_pd(b1 + j)));
-                acc = _mm256_add_pd(
-                    acc, _mm256_mul_pd(va2, _mm256_loadu_pd(b2 + j)));
-                acc = _mm256_add_pd(
-                    acc, _mm256_mul_pd(va3, _mm256_loadu_pd(b3 + j)));
-                _mm256_storeu_pd(crow + j, acc);
-            }
-            for (; j < bcols; ++j) {
-                double acc = crow[j];
-                acc += a0i * b0[j];
-                acc += a1i * b1[j];
-                acc += a2i * b2[j];
-                acc += a3i * b3[j];
-                crow[j] = acc;
-            }
-        }
-    }
-    // Row remainder: one vectorized row at a time (same per-element
-    // ascending-r term order as the naive loop).
-    for (; r0 < rows; ++r0) {
-        const double* arow = a + r0 * lda;
-        const double* brow = b + r0 * ldb;
-        for (size_t i = 0; i < acols; ++i) {
-            const double ari = arow[i];
-            if (ari == 0.0) {
-                continue;
-            }
-            double* crow = c + i * ldc;
-            const __m256d va = _mm256_set1_pd(ari);
-            size_t j = 0;
-            for (; j + 4 <= bcols; j += 4) {
-                const __m256d acc = _mm256_add_pd(
-                    _mm256_loadu_pd(crow + j),
-                    _mm256_mul_pd(va, _mm256_loadu_pd(brow + j)));
-                _mm256_storeu_pd(crow + j, acc);
-            }
-            for (; j < bcols; ++j) {
-                crow[j] += ari * brow[j];
-            }
-        }
-    }
-}
-
-/**
- * AVX-512 tier of the accumulating TNAcc kernel: the AVX2 kernel's 4-row
- * blocking with 8-wide ZMM j panels (then a 4-wide YMM panel and a scalar
- * tail), so TLP-sized packs keep the whole 64-wide C row in four panel
- * round-trips instead of eight. Same per-element ascending-r term order
- * and whole-block zero-skip as the AVX2 tier.
- */
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-__attribute__((target("avx512f"))) void
-matmulTNAccAvx512(const double* a, size_t rows, size_t acols, size_t lda,
-                  const double* b, size_t bcols, size_t ldb, double* c,
-                  size_t ldc)
-{
-    size_t r0 = 0;
-    for (; r0 + 4 <= rows; r0 += 4) {
-        const double* a0 = a + (r0 + 0) * lda;
-        const double* a1 = a + (r0 + 1) * lda;
-        const double* a2 = a + (r0 + 2) * lda;
-        const double* a3 = a + (r0 + 3) * lda;
-        const double* b0 = b + (r0 + 0) * ldb;
-        const double* b1 = b + (r0 + 1) * ldb;
-        const double* b2 = b + (r0 + 2) * ldb;
-        const double* b3 = b + (r0 + 3) * ldb;
-        for (size_t i = 0; i < acols; ++i) {
-            const double a0i = a0[i];
-            const double a1i = a1[i];
-            const double a2i = a2[i];
-            const double a3i = a3[i];
-            if (a0i == 0.0 && a1i == 0.0 && a2i == 0.0 && a3i == 0.0) {
-                continue; // whole-block skip (zero-padding rows)
-            }
-            double* crow = c + i * ldc;
-            const __m512d wa0 = _mm512_set1_pd(a0i);
-            const __m512d wa1 = _mm512_set1_pd(a1i);
-            const __m512d wa2 = _mm512_set1_pd(a2i);
-            const __m512d wa3 = _mm512_set1_pd(a3i);
-            size_t j = 0;
-            for (; j + 8 <= bcols; j += 8) {
-                __m512d acc = _mm512_loadu_pd(crow + j);
-                acc = _mm512_add_pd(
-                    acc, _mm512_mul_pd(wa0, _mm512_loadu_pd(b0 + j)));
-                acc = _mm512_add_pd(
-                    acc, _mm512_mul_pd(wa1, _mm512_loadu_pd(b1 + j)));
-                acc = _mm512_add_pd(
-                    acc, _mm512_mul_pd(wa2, _mm512_loadu_pd(b2 + j)));
-                acc = _mm512_add_pd(
-                    acc, _mm512_mul_pd(wa3, _mm512_loadu_pd(b3 + j)));
-                _mm512_storeu_pd(crow + j, acc);
-            }
-            for (; j + 4 <= bcols; j += 4) {
-                __m256d acc = _mm256_loadu_pd(crow + j);
-                acc = _mm256_add_pd(
-                    acc, _mm256_mul_pd(_mm256_set1_pd(a0i),
-                                       _mm256_loadu_pd(b0 + j)));
-                acc = _mm256_add_pd(
-                    acc, _mm256_mul_pd(_mm256_set1_pd(a1i),
-                                       _mm256_loadu_pd(b1 + j)));
-                acc = _mm256_add_pd(
-                    acc, _mm256_mul_pd(_mm256_set1_pd(a2i),
-                                       _mm256_loadu_pd(b2 + j)));
-                acc = _mm256_add_pd(
-                    acc, _mm256_mul_pd(_mm256_set1_pd(a3i),
-                                       _mm256_loadu_pd(b3 + j)));
-                _mm256_storeu_pd(crow + j, acc);
-            }
-            for (; j < bcols; ++j) {
-                double acc = crow[j];
-                acc += a0i * b0[j];
-                acc += a1i * b1[j];
-                acc += a2i * b2[j];
-                acc += a3i * b3[j];
-                crow[j] = acc;
-            }
-        }
-    }
-    for (; r0 < rows; ++r0) {
-        const double* arow = a + r0 * lda;
-        const double* brow = b + r0 * ldb;
-        for (size_t i = 0; i < acols; ++i) {
-            const double ari = arow[i];
-            if (ari == 0.0) {
-                continue;
-            }
-            double* crow = c + i * ldc;
-            const __m512d wa = _mm512_set1_pd(ari);
-            size_t j = 0;
-            for (; j + 8 <= bcols; j += 8) {
-                const __m512d acc = _mm512_add_pd(
-                    _mm512_loadu_pd(crow + j),
-                    _mm512_mul_pd(wa, _mm512_loadu_pd(brow + j)));
-                _mm512_storeu_pd(crow + j, acc);
-            }
-            for (; j + 4 <= bcols; j += 4) {
-                const __m256d acc = _mm256_add_pd(
-                    _mm256_loadu_pd(crow + j),
-                    _mm256_mul_pd(_mm256_set1_pd(ari),
-                                  _mm256_loadu_pd(brow + j)));
-                _mm256_storeu_pd(crow + j, acc);
-            }
-            for (; j < bcols; ++j) {
-                crow[j] += ari * brow[j];
-            }
-        }
-    }
-}
-#pragma GCC diagnostic pop
-
-/**
  * Segment-blocked dW kernels (see matmulTNSegBlocked): C panels live in
  * registers across the whole segment run — per (i, j) panel the
  * accumulator is loaded once, every segment folds in through a local
@@ -1224,9 +752,6 @@ using MatmulFn = void (*)(const double*, size_t, size_t, size_t,
                           const double*, size_t, size_t, double*, size_t,
                           const double*, bool);
 
-using MatmulNTFn = void (*)(const double*, size_t, size_t, size_t,
-                            const double*, size_t, size_t, double*, size_t);
-
 /**
  * One-time dispatch self-check: a kernel tier is only used if it
  * reproduces the naive golden kernel bit for bit on a case that covers
@@ -1278,36 +803,6 @@ matchesNaiveKernel(MatmulFn fn)
     return std::memcmp(fast, naive, sizeof(fast)) == 0;
 }
 
-/**
- * Same demote-on-mismatch self-check for the NT kernel: m = 11, n = 15
- * covers the AVX-512 tier's 4x8 main block, its 3-row ZMM row-remainder
- * path, and its AVX2 column-remainder delegation (a full 4x4 block and a
- * scalar tail), the AVX2 tier's own main block and remainders, and the
- * naive row-remainder delegation; k = 9 covers the transposed four-step
- * k panels and the gathered k tail.
- */
-bool
-matchesNaiveKernelNT(MatmulNTFn fn)
-{
-    constexpr size_t m = 11, k = 9, n = 15;
-    double a[m * k], b[n * k], fast[m * n], naive[m * n];
-    uint64_t state = 0xA5A5A5A55A5A5A5Aull;
-    auto next = [&state]() {
-        state = state * 6364136223846793005ull + 1442695040888963407ull;
-        return static_cast<double>(static_cast<int64_t>(state >> 11)) /
-               static_cast<double>(1ll << 52);
-    };
-    for (double& v : a) {
-        v = next();
-    }
-    for (double& v : b) {
-        v = next();
-    }
-    fn(a, m, k, k, b, n, k, fast, n);
-    matmulNTNaive(a, m, k, k, b, n, k, naive, n);
-    return std::memcmp(fast, naive, sizeof(fast)) == 0;
-}
-
 /** Frozen composed-ops per-segment partial, the multi-row step of
  *  matmulTNSegBlockedNaive: per element, the exact matmulTN chain
  *  (ascending r, zero-skip) then one add into C. */
@@ -1330,57 +825,6 @@ matmulTNAddPartialNaive(const double* a, size_t rows, size_t acols,
             crow[j] += acc;
         }
     }
-}
-
-/**
- * Self-check for the accumulating gradient kernels: random data with
- * zeros planted in A (the naive loops' skip path), accumulated twice so
- * the second pass starts from a non-zero C — both passes must match the
- * frozen reference kernel bit for bit. rows = 9 covers the 4-row block
- * and the row remainder; bcols = 15 covers the 8- and 4-wide vector
- * panels and the scalar column remainder.
- */
-bool
-matchesAccumulatingReference(MatmulNTFn fn, MatmulNTFn ref)
-{
-    constexpr size_t rows = 9, acols = 7, bcols = 15;
-    double a[rows * acols], b[rows * bcols];
-    double fast[acols * bcols] = {}, naive[acols * bcols] = {};
-    uint64_t state = 0xC3C3C3C33C3C3C3Cull;
-    auto next = [&state]() {
-        state = state * 6364136223846793005ull + 1442695040888963407ull;
-        return static_cast<double>(static_cast<int64_t>(state >> 11)) /
-               static_cast<double>(1ll << 52);
-    };
-    for (size_t e = 0; e < rows * acols; ++e) {
-        a[e] = e % 5 == 0 ? 0.0 : next(); // exercise the zero-skip
-    }
-    for (double& v : b) {
-        v = next();
-    }
-    for (int pass = 0; pass < 2; ++pass) {
-        fn(a, rows, acols, acols, b, bcols, bcols, fast, bcols);
-        ref(a, rows, acols, acols, b, bcols, bcols, naive, bcols);
-        if (std::memcmp(fast, naive, sizeof(fast)) != 0) {
-            return false;
-        }
-    }
-    // Second round at the models' layer width (64 columns), the shape
-    // the specialized whole-row panel path handles.
-    constexpr size_t wide = 64;
-    double bw[rows * wide], fastw[acols * wide] = {},
-        naivew[acols * wide] = {};
-    for (double& v : bw) {
-        v = next();
-    }
-    for (int pass = 0; pass < 2; ++pass) {
-        fn(a, rows, acols, acols, bw, wide, wide, fastw, wide);
-        ref(a, rows, acols, acols, bw, wide, wide, naivew, wide);
-        if (std::memcmp(fastw, naivew, sizeof(fastw)) != 0) {
-            return false;
-        }
-    }
-    return true;
 }
 
 using MatmulTNSegFn = void (*)(const double*, size_t, const double*,
@@ -1481,11 +925,6 @@ struct PickedMatmul
     MatmulFn fn;
     const char* tier;
 };
-struct PickedMatmulNT
-{
-    MatmulNTFn fn;
-    const char* tier;
-};
 struct PickedMatmulTNSeg
 {
     MatmulTNSegFn fn;
@@ -1526,47 +965,6 @@ pickKernel()
     return {matmulScalarTile, "scalar"};
 }
 
-PickedMatmulNT
-pickKernelNT()
-{
-    // The AVX-512 NT tier delegates its remainders to the AVX2 NT
-    // kernel, so both must pass before it is accepted.
-    if (__builtin_cpu_supports("avx512f")) {
-        if (matchesNaiveKernelNT(matmulNTAvx512) &&
-            matchesNaiveKernelNT(matmulNTAvx2)) {
-            return {matmulNTAvx512, "avx512"};
-        }
-        noteTierDemotion();
-    }
-    if (__builtin_cpu_supports("avx2")) {
-        if (matchesNaiveKernelNT(matmulNTAvx2)) {
-            return {matmulNTAvx2, "avx2"};
-        }
-        noteTierDemotion();
-    }
-    return {matmulNTNaive, "naive"};
-}
-
-PickedMatmulNT
-pickKernelTNAcc()
-{
-    if (__builtin_cpu_supports("avx512f")) {
-        if (matchesAccumulatingReference(matmulTNAccAvx512,
-                                         matmulTNAccNaive)) {
-            return {matmulTNAccAvx512, "avx512"};
-        }
-        noteTierDemotion();
-    }
-    if (__builtin_cpu_supports("avx2")) {
-        if (matchesAccumulatingReference(matmulTNAccAvx2,
-                                         matmulTNAccNaive)) {
-            return {matmulTNAccAvx2, "avx2"};
-        }
-        noteTierDemotion();
-    }
-    return {matmulTNAccNaive, "naive"};
-}
-
 PickedMatmulTNSeg
 pickKernelTNSeg()
 {
@@ -1593,18 +991,6 @@ pickKernel()
     return {matmulScalarTile, "scalar"};
 }
 
-PickedMatmulNT
-pickKernelNT()
-{
-    return {matmulNTNaive, "naive"};
-}
-
-PickedMatmulNT
-pickKernelTNAcc()
-{
-    return {matmulTNAccNaive, "naive"};
-}
-
 PickedMatmulTNSeg
 pickKernelTNSeg()
 {
@@ -1621,20 +1007,6 @@ pickedKernel()
     return kernel;
 }
 
-const PickedMatmulNT&
-pickedKernelNT()
-{
-    static const PickedMatmulNT kernel = pickKernelNT();
-    return kernel;
-}
-
-const PickedMatmulNT&
-pickedKernelTNAcc()
-{
-    static const PickedMatmulNT kernel = pickKernelTNAcc();
-    return kernel;
-}
-
 const PickedMatmulTNSeg&
 pickedKernelTNSeg()
 {
@@ -1647,8 +1019,11 @@ pickedKernelTNSeg()
 KernelTiers
 kernelTiers()
 {
-    return {pickedKernel().tier, pickedKernelNT().tier,
-            pickedKernelTNAcc().tier, pickedKernelTNSeg().tier};
+    // matmulNT runs on the matmul kernel and the TN-accumulate on the
+    // segment-blocked one, so their fields report those two tiers.
+    const char* mm = pickedKernel().tier;
+    const char* seg = pickedKernelTNSeg().tier;
+    return {mm, mm, seg, seg};
 }
 
 size_t
@@ -1691,7 +1066,19 @@ void
 matmulNT(const double* a, size_t m, size_t k, size_t lda, const double* b,
          size_t n, size_t ldb, double* c, size_t ldc)
 {
-    pickedKernelNT().fn(a, m, k, lda, b, n, ldb, c, ldc);
+    // Copy B into a per-thread B^T scratch (it only grows, so a warm
+    // thread allocates nothing) and run matmul on it.
+    thread_local std::vector<double> bt;
+    if (bt.size() < k * n) {
+        bt.resize(k * n);
+    }
+    for (size_t j = 0; j < n; ++j) {
+        const double* brow = b + j * ldb;
+        for (size_t kk = 0; kk < k; ++kk) {
+            bt[kk * n + j] = brow[kk];
+        }
+    }
+    matmul(a, m, k, lda, bt.data(), n, n, c, ldc);
 }
 
 void
@@ -1710,13 +1097,6 @@ matmulNTNaive(const double* a, size_t m, size_t k, size_t lda,
             crow[j] = acc;
         }
     }
-}
-
-void
-matmulTNAcc(const double* a, size_t rows, size_t acols, size_t lda,
-            const double* b, size_t bcols, size_t ldb, double* c, size_t ldc)
-{
-    pickedKernelTNAcc().fn(a, rows, acols, lda, b, bcols, ldb, c, ldc);
 }
 
 void
@@ -1781,7 +1161,7 @@ matmulTNSegBlockedNaive(const double* a, size_t lda, const double* b,
         const size_t rows = seg_rows[s];
         if (rows == 1) {
             // One-row segment: the batched backward's pre-seg-blocked
-            // dispatch accumulated these straight into C (matmulTNAcc).
+            // dispatch accumulated these straight into C.
             matmulTNAccNaive(a, 1, acols, lda, b, bcols, ldb, c, ldc);
         } else {
             matmulTNAddPartialNaive(a, rows, acols, lda, b, bcols, ldb, c,
@@ -1789,6 +1169,29 @@ matmulTNSegBlockedNaive(const double* a, size_t lda, const double* b,
         }
         a += rows * lda;
         b += rows * ldb;
+    }
+}
+
+void
+softmaxRows(double* data, size_t rows, size_t cols)
+{
+    if (cols == 0) {
+        return; // nothing to normalize; avoids reading r[0] of empty rows
+    }
+    for (size_t i = 0; i < rows; ++i) {
+        double* r = data + i * cols;
+        double mx = r[0];
+        for (size_t j = 1; j < cols; ++j) {
+            mx = std::max(mx, r[j]);
+        }
+        double sum = 0.0;
+        for (size_t j = 0; j < cols; ++j) {
+            r[j] = std::exp(r[j] - mx);
+            sum += r[j];
+        }
+        for (size_t j = 0; j < cols; ++j) {
+            r[j] /= sum;
+        }
     }
 }
 
@@ -1922,20 +1325,9 @@ Matrix::matmulTN(const Matrix& a, const Matrix& b)
                                                   << b.rows_ << "x"
                                                   << b.cols_ << "]");
     Matrix c(a.cols_, b.cols_);
-    for (size_t k = 0; k < a.rows_; ++k) {
-        const double* arow = a.row(k);
-        const double* brow = b.row(k);
-        for (size_t i = 0; i < a.cols_; ++i) {
-            const double aki = arow[i];
-            if (aki == 0.0) {
-                continue;
-            }
-            double* crow = c.row(i);
-            for (size_t j = 0; j < b.cols_; ++j) {
-                crow[j] += aki * brow[j];
-            }
-        }
-    }
+    nnkernel::matmulTNAccNaive(a.data_.data(), a.rows_, a.cols_, a.cols_,
+                               b.data_.data(), b.cols_, b.cols_,
+                               c.data_.data(), c.cols_);
     return c;
 }
 
@@ -2025,24 +1417,7 @@ Matrix::colMean() const
 void
 Matrix::softmaxRows()
 {
-    if (cols_ == 0) {
-        return; // nothing to normalize; avoids reading r[0] of empty rows
-    }
-    for (size_t i = 0; i < rows_; ++i) {
-        double* r = row(i);
-        double mx = r[0];
-        for (size_t j = 1; j < cols_; ++j) {
-            mx = std::max(mx, r[j]);
-        }
-        double sum = 0.0;
-        for (size_t j = 0; j < cols_; ++j) {
-            r[j] = std::exp(r[j] - mx);
-            sum += r[j];
-        }
-        for (size_t j = 0; j < cols_; ++j) {
-            r[j] /= sum;
-        }
-    }
+    nnkernel::softmaxRows(data_.data(), rows_, cols_);
 }
 
 double

@@ -45,16 +45,13 @@ void matmul(const double* a, size_t m, size_t k, size_t lda, const double* b,
             const double* bias = nullptr, bool relu = false);
 
 /**
- * Raw C[m,n] = A[m,k] * B[n,k]^T with B accessed row-major as B^T — no
- * transposed copy is ever materialized. Same ordering contract as
- * matmul(): every C element is a single accumulator over k in ascending
- * order with separate multiply and add roundings, so the bytes equal
- * matmulNTNaive() for any m. Dispatches at runtime to an AVX-512 4x8 or
- * AVX2 4x4 lane-per-element micro-kernel (each self-checked at startup
- * against the naive kernel and demoted on mismatch), falling back to the
- * naive loop.
- * Used by the attention cores (Q K^T without the explicit K transpose)
- * and the batched backward's dX = dY W^T GEMMs. C must not alias A or B.
+ * Raw C[m,n] = A[m,k] * B[n,k]^T: copies B into a per-thread B^T scratch
+ * and makes one call through the matmul() dispatch, so it has no tier of
+ * its own. matmul()'s tiers are self-checked to build every element as a
+ * +0-seeded chain over ascending k with separate multiply and add
+ * roundings, which is exactly matmulNTNaive()'s loop, so the bytes equal
+ * it for any m. Used by the attention cores (Q K^T, dA = dctx V^T) and
+ * the batched backward's dX = dY W^T GEMMs. C must not alias A or B.
  */
 void matmulNT(const double* a, size_t m, size_t k, size_t lda,
               const double* b, size_t n, size_t ldb, double* c, size_t ldc);
@@ -66,29 +63,10 @@ void matmulNTNaive(const double* a, size_t m, size_t k, size_t lda,
                    const double* b, size_t n, size_t ldb, double* c,
                    size_t ldc);
 
-/**
- * Accumulating transposed-A product: C[i,j] += sum_r A[r,i] * B[r,j] over
- * @p rows rows, every element's terms added in ascending r with separate
- * multiply/add roundings — the exact per-element chain of
- * Matrix::matmulTN followed by Matrix::add. C is accumulated into, NOT
- * overwritten: running it on a zeroed partial and adding the partial to a
- * gradient reproduces `grad.add(Matrix::matmulTN(x, dy))` byte for byte,
- * and (because one-row partials are single products) accumulating
- * straight into the gradient over consecutive one-row segments
- * reproduces the per-record add sequence too — the dW reductions of the
- * batched backward pass rest on both. Dispatches to an AVX2 4-row-blocked
- * kernel (self-checked against the frozen naive loop, demoted on
- * mismatch). Inputs must be finite; C must hold no -0.0 entries (both
- * hold for every gradient buffer: they start zeroed and accumulate sums,
- * which cannot produce -0.0 under round-to-nearest).
- */
-void matmulTNAcc(const double* a, size_t rows, size_t acols, size_t lda,
-                 const double* b, size_t bcols, size_t ldb, double* c,
-                 size_t ldc);
-
-/** The frozen naive TNAcc loop (r outer, zero-skip on A[r,i] exactly like
- *  Matrix::matmulTN), the golden kernel matmulTNAcc() is checked
- *  against. */
+/** The frozen naive accumulating transposed-A loop: C[i,j] += sum_r
+ *  A[r,i] * B[r,j] over @p rows rows, r outer with a zero-skip on A[r,i].
+ *  Matrix::matmulTN is this loop on a zeroed C, and it is the one-row
+ *  step of matmulTNSegBlockedNaive(). C is accumulated into. */
 void matmulTNAccNaive(const double* a, size_t rows, size_t acols,
                       size_t lda, const double* b, size_t bcols, size_t ldb,
                       double* c, size_t ldc);
@@ -102,11 +80,15 @@ void matmulTNAccNaive(const double* a, size_t rows, size_t acols,
  * local register (terms in ascending r, separate mul/add roundings) and
  * folds it in with a single add, and finally stores ONCE — the exact
  * per-element rounding chain of `grad.add(Matrix::matmulTN(x_seg,
- * dy_seg))` per segment (and, for one-row segments, of matmulTNAcc: a
- * one-row partial is a single product, so 0 + p == p and
- * C + (+0) == C + (-0) == C under the no--0.0-in-C contract). Replaces the per-segment load/add/store C
- * traffic of the batched backward with one C pass per pack. Same
- * finite-input / no -0.0-in-C contract as matmulTNAcc; dispatched with a
+ * dy_seg))` per segment. A one-row partial is a single product, so a
+ * one-row segment also equals the direct accumulation of
+ * matmulTNAccNaive(); and one segment of t rows into a zeroed C equals
+ * Matrix::matmulTN, because a +0-seeded partial is never -0.0 and
+ * +0 + p == p (the attention backward's dV and dK rest on this).
+ * Replaces the per-segment load/add/store C traffic of the batched
+ * backward with one C pass per pack. Inputs must be finite; C must hold
+ * no -0.0 entries (gradient buffers start zeroed and accumulate sums,
+ * which cannot produce -0.0 under round-to-nearest). Dispatched with a
  * startup self-check against the composed per-segment naive kernels and
  * demoted on mismatch.
  */
@@ -134,10 +116,13 @@ void matmulNaive(const double* a, size_t m, size_t k, size_t lda,
                  const double* b, size_t n, size_t ldb, double* c,
                  size_t ldc);
 
-/** Tier names of the four dispatched GEMM kernels on this host (e.g.
- *  "avx512", "avx2", "scalar", "naive") — the result of the startup
- *  self-check dispatch, for observability (/metrics labels, tune
- *  reports). Forces the dispatch on first call. */
+/** Tier names of the GEMM kernels on this host (e.g. "avx512", "avx2",
+ *  "scalar", "naive") — the result of the startup self-check dispatch,
+ *  for observability (/metrics labels, tune reports). Two kernels are
+ *  dispatched: matmul and matmulTNSegBlocked. matmul_nt reports the
+ *  matmul tier that matmulNT runs on, and matmul_tn_acc the
+ *  segment-blocked tier that the attention backward's TN-accumulate runs
+ *  on. Forces the dispatch on first call. */
 struct KernelTiers
 {
     const char* matmul;
@@ -154,6 +139,12 @@ KernelTiers kernelTiers();
  *  dispatch of every kernel on first call; feeds the
  *  kernel_tier_demotions_total metric and the tuneReport warning row. */
 size_t kernelTierDemotions();
+
+/** Row-wise softmax in place on a raw row-major [rows, cols] block,
+ *  numerically stable (each row is shifted by its max). Matrix::softmaxRows
+ *  and the attention training forward's flat score blocks both run it, so
+ *  the two produce the same bytes. A zero-column block is a no-op. */
+void softmaxRows(double* data, size_t rows, size_t cols);
 
 } // namespace nnkernel
 

@@ -23,9 +23,8 @@ exportKernelTiers(obs::MetricsRegistry& metrics)
     // trace replayed on another machine still identity-matches.
     const auto ch = obs::MetricChannel::Execution;
     const nnkernel::KernelTiers tiers = nnkernel::kernelTiers();
+    // One label per dispatched kernel (matmulNT runs on the matmul tier).
     metrics.setLabel("nn_kernel_matmul", tiers.matmul, ch);
-    metrics.setLabel("nn_kernel_matmul_nt", tiers.matmul_nt, ch);
-    metrics.setLabel("nn_kernel_matmul_tn_acc", tiers.matmul_tn_acc, ch);
     metrics.setLabel("nn_kernel_matmul_tn_seg", tiers.matmul_tn_seg, ch);
     // CPU-supported tiers the startup self-check rejected. Zero on a
     // healthy host; nonzero means a vector kernel broke its byte-identity

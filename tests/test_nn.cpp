@@ -165,12 +165,11 @@ TEST(Matrix, TiledMatmulMatchesNaiveKernelBitwise)
 
 TEST(Matrix, MatmulNTMatchesNaiveKernelBitwise)
 {
-    // The dispatched NT kernel (AVX-512 4x8, AVX2 4x4 lane-per-element,
-    // or the naive fallback) must reproduce the frozen naive NT loop bit
-    // for bit across the main block and every remainder path: exact 8-
-    // and 4-wide j panels, the 4..7-wide column remainder the AVX-512
-    // tier hands to the AVX2 kernel, the scalar column tail, the k-panel
-    // tail, and the sub-4 row remainder.
+    // matmulNT runs on the dispatched matmul tiers over a per-thread B^T
+    // copy and must reproduce the frozen naive NT loop bit for bit. The
+    // shapes reach the matmul tiers' main tiles and every row and column
+    // remainder, and include both attention cores (10x64 by 64x10 and
+    // 28x64 by 64x28).
     Rng rng(211);
     for (const auto [m, k, n] :
          {std::array<size_t, 3>{1, 1, 1}, {1, 64, 10}, {3, 7, 5},
@@ -193,11 +192,12 @@ TEST(Matrix, MatmulNTMatchesNaiveKernelBitwise)
     }
 }
 
-TEST(Matrix, MatmulTNAccMatchesMatmulTNBitwise)
+TEST(Matrix, OneSegmentSegBlockedMatchesMatmulTNBitwise)
 {
-    // The accumulating raw kernel behind the per-segment dW partials must
-    // replicate Matrix::matmulTN's loop order (including the zero-skip)
-    // exactly: zeroed partial + accumulate == fresh matmulTN.
+    // The attention backward's dV and dK: one segment of every row folded
+    // into a zeroed block by the segment-blocked kernel must equal
+    // Matrix::matmulTN bit for bit, zero-skip included (a +0-seeded
+    // partial is never -0.0, so +0 + partial == partial).
     Rng rng(213);
     for (const auto [rows, acols, bcols] :
          {std::array<size_t, 3>{1, 1, 1}, {4, 5, 3}, {10, 64, 64},
@@ -208,16 +208,17 @@ TEST(Matrix, MatmulTNAccMatchesMatmulTNBitwise)
         const Matrix b = Matrix::randn(rows, bcols, rng, 1.0);
         const Matrix ref = Matrix::matmulTN(a, b);
         Matrix acc(acols, bcols);
-        nnkernel::matmulTNAcc(a.row(0), rows, acols, acols, b.row(0),
-                              bcols, bcols, acc.row(0), bcols);
-        // The production contract: a zeroed partial + one accumulation
-        // pass == a fresh Matrix::matmulTN, bit for bit. (Accumulating a
-        // second pass on top is NOT equivalent to ref+ref — each term
-        // rounds against the running sum — which is exactly why the
-        // batched backward builds one zeroed partial per segment.)
+        nnkernel::matmulTNSegBlocked(a.row(0), acols, b.row(0), bcols,
+                                     &rows, 1, acols, bcols, acc.row(0),
+                                     bcols);
+        // (Folding a second pass on top is NOT equivalent to ref+ref —
+        // each term rounds against the running sum — which is why the
+        // batched backward builds one partial per segment.)
         EXPECT_EQ(std::memcmp(ref.data().data(), acc.data().data(),
                               acols * bcols * sizeof(double)),
-                  0);
+                  0)
+            << "one-segment fold diverged at [" << rows << "x" << acols
+            << "]^T * [" << rows << "x" << bcols << "]";
     }
 }
 
@@ -334,16 +335,30 @@ TEST(Matrix, SegBlockedAndTNAccNegativeZeroContract)
                   0)
             << "seg kernel -0.0 contract broke on pass " << pass;
     }
+    // The TN-accumulate the attention backward makes: one segment of every
+    // row into a zeroed block, against the direct naive accumulation.
     Matrix acc_fast(acols, bcols);
     Matrix acc_naive(acols, bcols);
-    nnkernel::matmulTNAcc(a.row(0), rows, acols, acols, b.row(0), bcols,
-                          bcols, acc_fast.row(0), bcols);
+    nnkernel::matmulTNSegBlocked(a.row(0), acols, b.row(0), bcols, &rows, 1,
+                                 acols, bcols, acc_fast.row(0), bcols);
     nnkernel::matmulTNAccNaive(a.row(0), rows, acols, acols, b.row(0),
                                bcols, bcols, acc_naive.row(0), bcols);
     EXPECT_EQ(std::memcmp(acc_fast.data().data(), acc_naive.data().data(),
                           acols * bcols * sizeof(double)),
               0)
-        << "TNAcc -0.0 contract broke";
+        << "one-segment TN-accumulate -0.0 contract broke";
+}
+
+TEST(Kernels, NoSupportedTierIsDemoted)
+{
+    // A tier the CPU supports but that fails its startup self-check only
+    // warns in the tune report and runs the slower tier; fail here
+    // instead. matmulNT and the TN-accumulate have no tiers of their own,
+    // so their fields report the kernels they run on.
+    EXPECT_EQ(nnkernel::kernelTierDemotions(), 0u);
+    const nnkernel::KernelTiers tiers = nnkernel::kernelTiers();
+    EXPECT_STREQ(tiers.matmul_nt, tiers.matmul);
+    EXPECT_STREQ(tiers.matmul_tn_acc, tiers.matmul_tn_seg);
 }
 
 TEST(SegmentTableAlias, AliasedSegmentsShareRows)
@@ -480,15 +495,18 @@ TEST(BatchedLayers, MlpInferBatchMatchesPerRowInfer)
     const Matrix x = Matrix::randn(11, 5, rng, 1.0);
     Workspace ws;
     const Matrix& batched = mlp.inferBatch(x, ws);
-    const Matrix whole = mlp.infer(x);
+    const Matrix whole = mlp.inferReference(x);
     ASSERT_EQ(batched.rows(), 11u);
     ASSERT_EQ(batched.cols(), 3u);
+    EXPECT_EQ(std::memcmp(batched.data().data(), whole.data().data(),
+                          whole.size() * sizeof(double)),
+              0);
     for (size_t r = 0; r < x.rows(); ++r) {
-        const Matrix row_out = mlp.infer(x.sliceRows(r, 1));
-        for (size_t c = 0; c < 3; ++c) {
-            EXPECT_DOUBLE_EQ(batched.at(r, c), row_out.at(0, c));
-            EXPECT_DOUBLE_EQ(batched.at(r, c), whole.at(r, c));
-        }
+        const Matrix row_out = mlp.inferReference(x.sliceRows(r, 1));
+        EXPECT_EQ(std::memcmp(batched.row(r), row_out.row(0),
+                              3 * sizeof(double)),
+                  0)
+            << "row " << r;
     }
 }
 
@@ -509,33 +527,13 @@ TEST(BatchedLayers, AttentionInferBatchMatchesPerSegmentInfer)
         if (segs.rows(s) == 0) {
             continue;
         }
-        const Matrix seg_out =
-            attn.infer(x.sliceRows(segs.begin(s), segs.rows(s)));
-        for (size_t r = 0; r < segs.rows(s); ++r) {
-            for (size_t c = 0; c < 6; ++c) {
-                EXPECT_DOUBLE_EQ(batched.at(segs.begin(s) + r, c),
-                                 seg_out.at(r, c));
-            }
-        }
+        const Matrix seg_out = attn.inferReference(
+            x.sliceRows(segs.begin(s), segs.rows(s)));
+        EXPECT_EQ(std::memcmp(batched.row(segs.begin(s)), seg_out.row(0),
+                              seg_out.size() * sizeof(double)),
+                  0)
+            << "segment " << s;
     }
-}
-
-TEST(BatchedLayers, InferReferenceMatchesInfer)
-{
-    Rng rng(113);
-    Mlp mlp({4, 8, 2}, rng);
-    SelfAttention attn(4, rng);
-    const Matrix x = Matrix::randn(6, 4, rng, 0.9);
-    const Matrix a = mlp.infer(x);
-    const Matrix b = mlp.inferReference(x);
-    EXPECT_EQ(std::memcmp(a.data().data(), b.data().data(),
-                          a.size() * sizeof(double)),
-              0);
-    const Matrix c = attn.infer(x);
-    const Matrix d = attn.inferReference(x);
-    EXPECT_EQ(std::memcmp(c.data().data(), d.data().data(),
-                          c.size() * sizeof(double)),
-              0);
 }
 
 /** Scalar loss used by the gradient checks: sum of outputs. */
@@ -775,7 +773,7 @@ TEST(Training, TinyMlpLearnsRankingSignal)
         for (double f : feats) {
             Matrix x(1, 1);
             x.at(0, 0) = f;
-            scores.push_back(mlp.infer(x).at(0, 0));
+            scores.push_back(mlp.inferReference(x).at(0, 0));
         }
         const LossResult loss = lambdaRankLoss(scores, lats);
         adam.zeroGrad();
@@ -793,7 +791,8 @@ TEST(Training, TinyMlpLearnsRankingSignal)
     Matrix lo(1, 1), hi(1, 1);
     lo.at(0, 0) = 0.0;
     hi.at(0, 0) = 1.0;
-    EXPECT_GT(mlp.infer(lo).at(0, 0), mlp.infer(hi).at(0, 0));
+    EXPECT_GT(mlp.inferReference(lo).at(0, 0),
+              mlp.inferReference(hi).at(0, 0));
 }
 
 } // namespace

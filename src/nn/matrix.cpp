@@ -1,15 +1,14 @@
 #include "nn/matrix.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <type_traits>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define PRUNER_NNKERNEL_X86 1
-#include <immintrin.h>
 #endif
 
 #include "support/logging.hpp"
@@ -31,7 +30,7 @@ namespace {
 constexpr size_t kBlockI = 4;
 constexpr size_t kBlockJ = 16;
 
-/** Scalar store epilogue shared by the kernel tiers (see matmul()). */
+/** Store epilogue of the scalar fallback tile (see matmul()). */
 inline void
 storeRow(const double* acc, double* crow, const double* bias, size_t nr,
          bool relu)
@@ -96,654 +95,253 @@ matmulScalarTile(const double* a, size_t m, size_t k, size_t lda,
 #ifdef PRUNER_NNKERNEL_X86
 
 /**
- * AVX2 4x8 micro-kernel. Deliberately built from separate _mm256_mul_pd /
- * _mm256_add_pd (the "avx2" target carries no FMA, so the compiler cannot
- * contract them): every C element sees exactly the scalar kernel's
- * mul-round-add-round sequence over ascending k, hence identical bytes at
- * ~3x the scalar tile's throughput. 8 YMM accumulators + 2 B panels + 1
- * broadcast stay within the 16 architectural YMM registers.
+ * Lane types of the x86 register tiles. They are GCC vector extensions, so
+ * one tile template compiles to ZMM code inside a target("avx512f")
+ * entry point and to YMM code inside a target("avx2") one, and plain
+ * double runs the same template as the scalar column tail. Element-wise
+ * `acc + a * b` on them is a separately rounded vmulpd then vaddpd:
+ * -ffp-contract=off (CMakeLists.txt) keeps GCC from fusing the pair into
+ * an FMA, which "avx512f" would otherwise allow.
  */
-__attribute__((target("avx2"))) void
-matmulAvx2(const double* a, size_t m, size_t k, size_t lda, const double* b,
-           size_t n, size_t ldb, double* c, size_t ldc, const double* bias,
-           bool relu)
+typedef double Lanes8 __attribute__((vector_size(64)));
+typedef double Lanes4 __attribute__((vector_size(32)));
+
+template <class V>
+constexpr size_t kLanes = sizeof(V) / sizeof(double);
+
+/**
+ * matmul register tile: R rows x P panels of V lanes of C, held in
+ * accumulators across the whole k loop. Each lane is one C element's
+ * +0-seeded chain of separately rounded multiplies and adds in ascending
+ * k (matmulNaive's chain), and the epilogue is storeRow's bias add and
+ * rectification; `v > 0 ? v : 0` maps NaN and -0.0 to +0.0 like the
+ * scalar form. The unroll pragmas keep the accumulators in registers at
+ * -O2, which does not fully unroll these loops by itself.
+ */
+template <size_t R, size_t P, class V>
+[[gnu::always_inline]] inline void
+matmulTile(const double* a, size_t k, size_t lda, const double* b,
+           size_t ldb, double* c, size_t ldc, const double* bias, bool relu)
 {
-    size_t i0 = 0;
-    for (; i0 + 4 <= m; i0 += 4) {
-        const double* a0 = a + i0 * lda;
-        size_t j0 = 0;
-        for (; j0 + 8 <= n; j0 += 8) {
-            __m256d acc00 = _mm256_setzero_pd();
-            __m256d acc01 = _mm256_setzero_pd();
-            __m256d acc10 = _mm256_setzero_pd();
-            __m256d acc11 = _mm256_setzero_pd();
-            __m256d acc20 = _mm256_setzero_pd();
-            __m256d acc21 = _mm256_setzero_pd();
-            __m256d acc30 = _mm256_setzero_pd();
-            __m256d acc31 = _mm256_setzero_pd();
-            for (size_t kk = 0; kk < k; ++kk) {
-                const double* brow = b + kk * ldb + j0;
-                const __m256d b0 = _mm256_loadu_pd(brow);
-                const __m256d b1 = _mm256_loadu_pd(brow + 4);
-                __m256d av = _mm256_set1_pd(a0[0 * lda + kk]);
-                acc00 = _mm256_add_pd(acc00, _mm256_mul_pd(av, b0));
-                acc01 = _mm256_add_pd(acc01, _mm256_mul_pd(av, b1));
-                av = _mm256_set1_pd(a0[1 * lda + kk]);
-                acc10 = _mm256_add_pd(acc10, _mm256_mul_pd(av, b0));
-                acc11 = _mm256_add_pd(acc11, _mm256_mul_pd(av, b1));
-                av = _mm256_set1_pd(a0[2 * lda + kk]);
-                acc20 = _mm256_add_pd(acc20, _mm256_mul_pd(av, b0));
-                acc21 = _mm256_add_pd(acc21, _mm256_mul_pd(av, b1));
-                av = _mm256_set1_pd(a0[3 * lda + kk]);
-                acc30 = _mm256_add_pd(acc30, _mm256_mul_pd(av, b0));
-                acc31 = _mm256_add_pd(acc31, _mm256_mul_pd(av, b1));
-            }
-            if (bias != nullptr) {
-                const __m256d bias0 = _mm256_loadu_pd(bias + j0);
-                const __m256d bias1 = _mm256_loadu_pd(bias + j0 + 4);
-                acc00 = _mm256_add_pd(acc00, bias0);
-                acc01 = _mm256_add_pd(acc01, bias1);
-                acc10 = _mm256_add_pd(acc10, bias0);
-                acc11 = _mm256_add_pd(acc11, bias1);
-                acc20 = _mm256_add_pd(acc20, bias0);
-                acc21 = _mm256_add_pd(acc21, bias1);
-                acc30 = _mm256_add_pd(acc30, bias0);
-                acc31 = _mm256_add_pd(acc31, bias1);
-            }
-            if (relu) {
-                // vmaxpd(v, +0.0) returns +0.0 for v <= 0 and for NaN:
-                // bitwise-equal to the scalar (v > 0 ? v : 0.0).
-                const __m256d zero = _mm256_setzero_pd();
-                acc00 = _mm256_max_pd(acc00, zero);
-                acc01 = _mm256_max_pd(acc01, zero);
-                acc10 = _mm256_max_pd(acc10, zero);
-                acc11 = _mm256_max_pd(acc11, zero);
-                acc20 = _mm256_max_pd(acc20, zero);
-                acc21 = _mm256_max_pd(acc21, zero);
-                acc30 = _mm256_max_pd(acc30, zero);
-                acc31 = _mm256_max_pd(acc31, zero);
-            }
-            _mm256_storeu_pd(c + (i0 + 0) * ldc + j0, acc00);
-            _mm256_storeu_pd(c + (i0 + 0) * ldc + j0 + 4, acc01);
-            _mm256_storeu_pd(c + (i0 + 1) * ldc + j0, acc10);
-            _mm256_storeu_pd(c + (i0 + 1) * ldc + j0 + 4, acc11);
-            _mm256_storeu_pd(c + (i0 + 2) * ldc + j0, acc20);
-            _mm256_storeu_pd(c + (i0 + 2) * ldc + j0 + 4, acc21);
-            _mm256_storeu_pd(c + (i0 + 3) * ldc + j0, acc30);
-            _mm256_storeu_pd(c + (i0 + 3) * ldc + j0 + 4, acc31);
+    constexpr size_t L = kLanes<V>;
+    V acc[R][P] = {};
+    for (size_t kk = 0; kk < k; ++kk) {
+        V bv[P] = {};
+#pragma GCC unroll 2
+        for (size_t p = 0; p < P; ++p) {
+            std::memcpy(&bv[p], b + kk * ldb + p * L, sizeof(V));
         }
-        for (; j0 < n; ++j0) {
-            for (size_t ii = 0; ii < 4; ++ii) {
-                double acc = 0.0;
-                for (size_t kk = 0; kk < k; ++kk) {
-                    acc += a0[ii * lda + kk] * b[kk * ldb + j0];
-                }
-                storeRow(&acc, c + (i0 + ii) * ldc + j0,
-                         bias != nullptr ? bias + j0 : nullptr, 1, relu);
+#pragma GCC unroll 4
+        for (size_t r = 0; r < R; ++r) {
+            const double ark = a[r * lda + kk];
+#pragma GCC unroll 2
+            for (size_t p = 0; p < P; ++p) {
+                acc[r][p] = acc[r][p] + ark * bv[p];
             }
         }
     }
-    for (; i0 < m; ++i0) {
-        const double* arow = a + i0 * lda;
-        size_t j0 = 0;
-        for (; j0 + 8 <= n; j0 += 8) {
-            __m256d acc0 = _mm256_setzero_pd();
-            __m256d acc1 = _mm256_setzero_pd();
-            for (size_t kk = 0; kk < k; ++kk) {
-                const double* brow = b + kk * ldb + j0;
-                const __m256d av = _mm256_set1_pd(arow[kk]);
-                acc0 = _mm256_add_pd(
-                    acc0, _mm256_mul_pd(av, _mm256_loadu_pd(brow)));
-                acc1 = _mm256_add_pd(
-                    acc1, _mm256_mul_pd(av, _mm256_loadu_pd(brow + 4)));
-            }
+#pragma GCC unroll 4
+    for (size_t r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+        for (size_t p = 0; p < P; ++p) {
+            V v = acc[r][p];
             if (bias != nullptr) {
-                acc0 = _mm256_add_pd(acc0, _mm256_loadu_pd(bias + j0));
-                acc1 = _mm256_add_pd(acc1, _mm256_loadu_pd(bias + j0 + 4));
+                V bp = {};
+                std::memcpy(&bp, bias + p * L, sizeof(V));
+                v = v + bp;
             }
             if (relu) {
-                const __m256d zero = _mm256_setzero_pd();
-                acc0 = _mm256_max_pd(acc0, zero);
-                acc1 = _mm256_max_pd(acc1, zero);
+                v = v > 0 ? v : 0;
             }
-            _mm256_storeu_pd(c + i0 * ldc + j0, acc0);
-            _mm256_storeu_pd(c + i0 * ldc + j0 + 4, acc1);
-        }
-        for (; j0 < n; ++j0) {
-            double acc = 0.0;
-            for (size_t kk = 0; kk < k; ++kk) {
-                acc += arow[kk] * b[kk * ldb + j0];
-            }
-            storeRow(&acc, c + i0 * ldc + j0,
-                     bias != nullptr ? bias + j0 : nullptr, 1, relu);
+            std::memcpy(c + r * ldc + p * L, &v, sizeof(V));
         }
     }
 }
 
-/**
- * AVX-512 4x16 micro-kernel: the widest tier, same separate-mul-then-add
- * contract as the AVX2 kernel ("avx512f" carries FMA in hardware, but the
- * explicit _mm512_mul_pd / _mm512_add_pd intrinsics pin the two roundings).
- */
-// GCC implements _mm512_max_pd through a masked builtin whose unused
-// pass-through source is _mm512_undefined_pd(), tripping a false-positive
-// -Wmaybe-uninitialized at -O2.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+/** R rows of matmul from column j0 on: tiles of the widest lane type
+ *  first, then of each narrower one. A vector tile is two panels wide
+ *  (8 accumulators + 2 B panels + 1 broadcast at R = 4, within the 16
+ *  YMM registers); a scalar tile is one column. */
+template <size_t R, class V, class... Narrower>
+[[gnu::always_inline]] inline void
+matmulRows(const double* a, size_t k, size_t lda, const double* b,
+           size_t n, size_t ldb, double* c, size_t ldc, const double* bias,
+           bool relu, size_t j0)
+{
+    constexpr size_t P = std::is_same_v<V, double> ? 1 : 2;
+    for (; j0 + P * kLanes<V> <= n; j0 += P * kLanes<V>) {
+        matmulTile<R, P, V>(a, k, lda, b + j0, ldb, c + j0, ldc,
+                            bias != nullptr ? bias + j0 : nullptr, relu);
+    }
+    if constexpr (sizeof...(Narrower) > 0) {
+        matmulRows<R, Narrower...>(a, k, lda, b, n, ldb, c, ldc, bias, relu,
+                                   j0);
+    }
+}
+
+/** An x86 matmul tier over lane types V...: 4-row blocks, then single
+ *  rows, each across the column panels of matmulRows. */
+template <class... V>
+[[gnu::always_inline]] inline void
+matmulTiles(const double* a, size_t m, size_t k, size_t lda,
+            const double* b, size_t n, size_t ldb, double* c, size_t ldc,
+            const double* bias, bool relu)
+{
+    size_t i0 = 0;
+    for (; i0 + 4 <= m; i0 += 4) {
+        matmulRows<4, V...>(a + i0 * lda, k, lda, b, n, ldb, c + i0 * ldc,
+                            ldc, bias, relu, 0);
+    }
+    for (; i0 < m; ++i0) {
+        matmulRows<1, V...>(a + i0 * lda, k, lda, b, n, ldb, c + i0 * ldc,
+                            ldc, bias, relu, 0);
+    }
+}
+
+/** AVX-512 matmul tier: 4x16 ZMM tiles, then 4x8 YMM tiles and scalar
+ *  columns for the column remainder; single rows the same way. */
 __attribute__((target("avx512f"))) void
 matmulAvx512(const double* a, size_t m, size_t k, size_t lda,
              const double* b, size_t n, size_t ldb, double* c, size_t ldc,
              const double* bias, bool relu)
 {
-    size_t i0 = 0;
-    for (; i0 + 4 <= m; i0 += 4) {
-        const double* a0 = a + i0 * lda;
-        size_t j0 = 0;
-        for (; j0 + 16 <= n; j0 += 16) {
-            __m512d acc00 = _mm512_setzero_pd();
-            __m512d acc01 = _mm512_setzero_pd();
-            __m512d acc10 = _mm512_setzero_pd();
-            __m512d acc11 = _mm512_setzero_pd();
-            __m512d acc20 = _mm512_setzero_pd();
-            __m512d acc21 = _mm512_setzero_pd();
-            __m512d acc30 = _mm512_setzero_pd();
-            __m512d acc31 = _mm512_setzero_pd();
-            for (size_t kk = 0; kk < k; ++kk) {
-                const double* brow = b + kk * ldb + j0;
-                const __m512d b0 = _mm512_loadu_pd(brow);
-                const __m512d b1 = _mm512_loadu_pd(brow + 8);
-                __m512d av = _mm512_set1_pd(a0[0 * lda + kk]);
-                acc00 = _mm512_add_pd(acc00, _mm512_mul_pd(av, b0));
-                acc01 = _mm512_add_pd(acc01, _mm512_mul_pd(av, b1));
-                av = _mm512_set1_pd(a0[1 * lda + kk]);
-                acc10 = _mm512_add_pd(acc10, _mm512_mul_pd(av, b0));
-                acc11 = _mm512_add_pd(acc11, _mm512_mul_pd(av, b1));
-                av = _mm512_set1_pd(a0[2 * lda + kk]);
-                acc20 = _mm512_add_pd(acc20, _mm512_mul_pd(av, b0));
-                acc21 = _mm512_add_pd(acc21, _mm512_mul_pd(av, b1));
-                av = _mm512_set1_pd(a0[3 * lda + kk]);
-                acc30 = _mm512_add_pd(acc30, _mm512_mul_pd(av, b0));
-                acc31 = _mm512_add_pd(acc31, _mm512_mul_pd(av, b1));
-            }
-            if (bias != nullptr) {
-                const __m512d bias0 = _mm512_loadu_pd(bias + j0);
-                const __m512d bias1 = _mm512_loadu_pd(bias + j0 + 8);
-                acc00 = _mm512_add_pd(acc00, bias0);
-                acc01 = _mm512_add_pd(acc01, bias1);
-                acc10 = _mm512_add_pd(acc10, bias0);
-                acc11 = _mm512_add_pd(acc11, bias1);
-                acc20 = _mm512_add_pd(acc20, bias0);
-                acc21 = _mm512_add_pd(acc21, bias1);
-                acc30 = _mm512_add_pd(acc30, bias0);
-                acc31 = _mm512_add_pd(acc31, bias1);
-            }
-            if (relu) {
-                const __m512d zero = _mm512_setzero_pd();
-                acc00 = _mm512_max_pd(acc00, zero);
-                acc01 = _mm512_max_pd(acc01, zero);
-                acc10 = _mm512_max_pd(acc10, zero);
-                acc11 = _mm512_max_pd(acc11, zero);
-                acc20 = _mm512_max_pd(acc20, zero);
-                acc21 = _mm512_max_pd(acc21, zero);
-                acc30 = _mm512_max_pd(acc30, zero);
-                acc31 = _mm512_max_pd(acc31, zero);
-            }
-            _mm512_storeu_pd(c + (i0 + 0) * ldc + j0, acc00);
-            _mm512_storeu_pd(c + (i0 + 0) * ldc + j0 + 8, acc01);
-            _mm512_storeu_pd(c + (i0 + 1) * ldc + j0, acc10);
-            _mm512_storeu_pd(c + (i0 + 1) * ldc + j0 + 8, acc11);
-            _mm512_storeu_pd(c + (i0 + 2) * ldc + j0, acc20);
-            _mm512_storeu_pd(c + (i0 + 2) * ldc + j0 + 8, acc21);
-            _mm512_storeu_pd(c + (i0 + 3) * ldc + j0, acc30);
-            _mm512_storeu_pd(c + (i0 + 3) * ldc + j0 + 8, acc31);
-        }
-        if (j0 < n) {
-            // Column remainder: defer to the AVX2 path on the same rows.
-            matmulAvx2(a + i0 * lda, 4, k, lda, b + j0, n - j0, ldb,
-                       c + i0 * ldc + j0, ldc,
-                       bias != nullptr ? bias + j0 : nullptr, relu);
-        }
-    }
-    if (i0 < m) {
-        matmulAvx2(a + i0 * lda, m - i0, k, lda, b, n, ldb, c + i0 * ldc,
-                   ldc, bias, relu);
-    }
+    matmulTiles<Lanes8, Lanes4, double>(a, m, k, lda, b, n, ldb, c, ldc,
+                                        bias, relu);
 }
-#pragma GCC diagnostic pop
+
+/** AVX2 matmul tier: 4x8 YMM tiles, then scalar columns. */
+__attribute__((target("avx2"))) void
+matmulAvx2(const double* a, size_t m, size_t k, size_t lda, const double* b,
+           size_t n, size_t ldb, double* c, size_t ldc, const double* bias,
+           bool relu)
+{
+    matmulTiles<Lanes4, double>(a, m, k, lda, b, n, ldb, c, ldc, bias,
+                                relu);
+}
 
 /**
- * Segment-blocked dW kernels (see matmulTNSegBlocked): C panels live in
- * registers across the whole segment run — per (i, j) panel the
- * accumulator is loaded once, every segment folds in through a local
- * partial register, and the panel is stored once, replacing one C
- * load/add/store pass PER SEGMENT with one per pack. The per-element
- * rounding chain (partial over ascending r, one add per segment, segments
- * ascending) is exactly the composed per-segment naive reference
+ * Segment-blocked dW register tile (see matmulTNSegBlocked): R rows x one
+ * panel of V lanes of C live in registers across the whole segment run.
+ * The panel is loaded once, every segment folds in through a local
+ * +0-seeded partial (terms in ascending r, separate roundings) with one
+ * add, and the panel is stored once, replacing one C load/add/store pass
+ * PER SEGMENT with one per pack. The per-element rounding chain is
+ * exactly the composed per-segment naive reference
  * (matmulTNSegBlockedNaive).
  */
-__attribute__((target("avx2"))) void
-matmulTNSegBlockedAvx2(const double* a, size_t lda, const double* b,
-                       size_t ldb, const size_t* seg_rows, size_t nsegs,
-                       size_t acols, size_t bcols, double* c, size_t ldc)
+template <size_t R, class V>
+[[gnu::always_inline]] inline void
+segTile(const double* a, size_t lda, const double* b, size_t ldb,
+        const size_t* seg_rows, size_t nsegs, double* c, size_t ldc)
 {
-    size_t i0 = 0;
-    for (; i0 + 4 <= acols; i0 += 4) {
-        double* c0 = c + (i0 + 0) * ldc;
-        double* c1 = c + (i0 + 1) * ldc;
-        double* c2 = c + (i0 + 2) * ldc;
-        double* c3 = c + (i0 + 3) * ldc;
-        size_t j = 0;
-        for (; j + 4 <= bcols; j += 4) {
-            __m256d acc0 = _mm256_loadu_pd(c0 + j);
-            __m256d acc1 = _mm256_loadu_pd(c1 + j);
-            __m256d acc2 = _mm256_loadu_pd(c2 + j);
-            __m256d acc3 = _mm256_loadu_pd(c3 + j);
-            const double* ap = a + i0;
-            const double* bp = b + j;
-            for (size_t s = 0; s < nsegs; ++s) {
-                __m256d p0 = _mm256_setzero_pd();
-                __m256d p1 = _mm256_setzero_pd();
-                __m256d p2 = _mm256_setzero_pd();
-                __m256d p3 = _mm256_setzero_pd();
-                for (size_t r = 0; r < seg_rows[s]; ++r) {
-                    const __m256d bv = _mm256_loadu_pd(bp);
-                    p0 = _mm256_add_pd(
-                        p0, _mm256_mul_pd(_mm256_set1_pd(ap[0]), bv));
-                    p1 = _mm256_add_pd(
-                        p1, _mm256_mul_pd(_mm256_set1_pd(ap[1]), bv));
-                    p2 = _mm256_add_pd(
-                        p2, _mm256_mul_pd(_mm256_set1_pd(ap[2]), bv));
-                    p3 = _mm256_add_pd(
-                        p3, _mm256_mul_pd(_mm256_set1_pd(ap[3]), bv));
-                    ap += lda;
-                    bp += ldb;
-                }
-                acc0 = _mm256_add_pd(acc0, p0);
-                acc1 = _mm256_add_pd(acc1, p1);
-                acc2 = _mm256_add_pd(acc2, p2);
-                acc3 = _mm256_add_pd(acc3, p3);
+    V acc[R] = {};
+#pragma GCC unroll 8
+    for (size_t r = 0; r < R; ++r) {
+        std::memcpy(&acc[r], c + r * ldc, sizeof(V));
+    }
+    for (size_t s = 0; s < nsegs; ++s) {
+        V part[R] = {};
+        for (size_t row = 0; row < seg_rows[s]; ++row) {
+            V bv = {};
+            std::memcpy(&bv, b, sizeof(V));
+#pragma GCC unroll 8
+            for (size_t r = 0; r < R; ++r) {
+                part[r] = part[r] + a[r] * bv;
             }
-            _mm256_storeu_pd(c0 + j, acc0);
-            _mm256_storeu_pd(c1 + j, acc1);
-            _mm256_storeu_pd(c2 + j, acc2);
-            _mm256_storeu_pd(c3 + j, acc3);
+            a += lda;
+            b += ldb;
         }
-        for (; j < bcols; ++j) {
-            double acc0 = c0[j];
-            double acc1 = c1[j];
-            double acc2 = c2[j];
-            double acc3 = c3[j];
-            const double* ap = a + i0;
-            const double* bp = b + j;
-            for (size_t s = 0; s < nsegs; ++s) {
-                double p0 = 0.0, p1 = 0.0, p2 = 0.0, p3 = 0.0;
-                for (size_t r = 0; r < seg_rows[s]; ++r) {
-                    const double bv = bp[0];
-                    p0 += ap[0] * bv;
-                    p1 += ap[1] * bv;
-                    p2 += ap[2] * bv;
-                    p3 += ap[3] * bv;
-                    ap += lda;
-                    bp += ldb;
-                }
-                acc0 += p0;
-                acc1 += p1;
-                acc2 += p2;
-                acc3 += p3;
-            }
-            c0[j] = acc0;
-            c1[j] = acc1;
-            c2[j] = acc2;
-            c3[j] = acc3;
+#pragma GCC unroll 8
+        for (size_t r = 0; r < R; ++r) {
+            acc[r] = acc[r] + part[r];
         }
     }
-    for (; i0 < acols; ++i0) {
-        double* crow = c + i0 * ldc;
-        size_t j = 0;
-        for (; j + 4 <= bcols; j += 4) {
-            __m256d acc = _mm256_loadu_pd(crow + j);
-            const double* ap = a + i0;
-            const double* bp = b + j;
-            for (size_t s = 0; s < nsegs; ++s) {
-                __m256d p = _mm256_setzero_pd();
-                for (size_t r = 0; r < seg_rows[s]; ++r) {
-                    p = _mm256_add_pd(
-                        p, _mm256_mul_pd(_mm256_set1_pd(ap[0]),
-                                         _mm256_loadu_pd(bp)));
-                    ap += lda;
-                    bp += ldb;
-                }
-                acc = _mm256_add_pd(acc, p);
-            }
-            _mm256_storeu_pd(crow + j, acc);
-        }
-        for (; j < bcols; ++j) {
-            double acc = crow[j];
-            const double* ap = a + i0;
-            const double* bp = b + j;
-            for (size_t s = 0; s < nsegs; ++s) {
-                double p = 0.0;
-                for (size_t r = 0; r < seg_rows[s]; ++r) {
-                    p += ap[0] * bp[0];
-                    ap += lda;
-                    bp += ldb;
-                }
-                acc += p;
-            }
-            crow[j] = acc;
-        }
+#pragma GCC unroll 8
+    for (size_t r = 0; r < R; ++r) {
+        std::memcpy(c + r * ldc, &acc[r], sizeof(V));
     }
 }
 
-/** AVX-512 tier of the segment-blocked dW kernel: 8-row C blocks with
- *  8-wide ZMM j panels, falling back to 4-row blocks, 4-wide YMM
- *  sub-panels and a scalar column tail, then a 1-row i remainder. */
+/** R rows of the segment-blocked kernel from column j on: one-panel tiles
+ *  of the widest lane type first, then of each narrower one. Returns the
+ *  first column no tile covered. */
+template <size_t R, class V, class... Narrower>
+[[gnu::always_inline]] inline size_t
+segRows(const double* a, size_t lda, const double* b, size_t ldb,
+        const size_t* seg_rows, size_t nsegs, size_t bcols, double* c,
+        size_t ldc, size_t j)
+{
+    for (; j + kLanes<V> <= bcols; j += kLanes<V>) {
+        segTile<R, V>(a, lda, b + j, ldb, seg_rows, nsegs, c + j, ldc);
+    }
+    if constexpr (sizeof...(Narrower) > 0) {
+        return segRows<R, Narrower...>(a, lda, b, ldb, seg_rows, nsegs,
+                                       bcols, c, ldc, j);
+    } else {
+        return j;
+    }
+}
+
+/** An x86 segment-blocked tier over lane types Wide, Narrow...: 8-row
+ *  blocks where the lanes are ZMM, then 4-row blocks, then single rows. */
+template <class Wide, class... Narrow>
+[[gnu::always_inline]] inline void
+segTiles(const double* a, size_t lda, const double* b, size_t ldb,
+         const size_t* seg_rows, size_t nsegs, size_t acols, size_t bcols,
+         double* c, size_t ldc)
+{
+    size_t i0 = 0;
+    if constexpr (kLanes<Wide> == 8) {
+        // 8-row tile: one shared B load feeds eight broadcast mul+add
+        // chains, halving B traffic per flop versus the 4-row tile and
+        // giving each add chain 2x latency slack. Its 16 live accumulator
+        // and partial registers need the 32 of AVX-512. The narrower
+        // column tail runs as two 4-row passes; each C element's chain is
+        // independent per (i, j), so splitting the block changes no byte.
+        for (; i0 + 8 <= acols; i0 += 8) {
+            const size_t j = segRows<8, Wide>(a + i0, lda, b, ldb, seg_rows,
+                                              nsegs, bcols, c + i0 * ldc,
+                                              ldc, 0);
+            for (size_t h = i0; h < i0 + 8; h += 4) {
+                segRows<4, Narrow...>(a + h, lda, b, ldb, seg_rows, nsegs,
+                                      bcols, c + h * ldc, ldc, j);
+            }
+        }
+    }
+    // One panel per row: wider 4-row tiles (two ZMM panels per row)
+    // measured slower despite the extra add-latency slack, because the 12
+    // live accumulator/partial registers push GCC into reordering that
+    // loses the shared-broadcast win.
+    for (; i0 + 4 <= acols; i0 += 4) {
+        segRows<4, Wide, Narrow...>(a + i0, lda, b, ldb, seg_rows, nsegs,
+                                    bcols, c + i0 * ldc, ldc, 0);
+    }
+    for (; i0 < acols; ++i0) {
+        segRows<1, Wide, Narrow...>(a + i0, lda, b, ldb, seg_rows, nsegs,
+                                    bcols, c + i0 * ldc, ldc, 0);
+    }
+}
+
+/** AVX-512 segment-blocked tier: 8-, 4- and 1-row blocks over ZMM, YMM
+ *  and scalar panels. */
 __attribute__((target("avx512f"))) void
 matmulTNSegBlockedAvx512(const double* a, size_t lda, const double* b,
                          size_t ldb, const size_t* seg_rows, size_t nsegs,
                          size_t acols, size_t bcols, double* c, size_t ldc)
 {
-    size_t i0 = 0;
-    for (; i0 + 8 <= acols; i0 += 8) {
-        // 8-row x 8-wide ZMM tile: one shared B load feeds eight
-        // broadcast mul+add chains, halving B traffic per flop versus
-        // the 4-row tile and giving each add chain 2x latency slack.
-        size_t j = 0;
-        for (; j + 8 <= bcols; j += 8) {
-            __m512d acc0 = _mm512_loadu_pd(c + (i0 + 0) * ldc + j);
-            __m512d acc1 = _mm512_loadu_pd(c + (i0 + 1) * ldc + j);
-            __m512d acc2 = _mm512_loadu_pd(c + (i0 + 2) * ldc + j);
-            __m512d acc3 = _mm512_loadu_pd(c + (i0 + 3) * ldc + j);
-            __m512d acc4 = _mm512_loadu_pd(c + (i0 + 4) * ldc + j);
-            __m512d acc5 = _mm512_loadu_pd(c + (i0 + 5) * ldc + j);
-            __m512d acc6 = _mm512_loadu_pd(c + (i0 + 6) * ldc + j);
-            __m512d acc7 = _mm512_loadu_pd(c + (i0 + 7) * ldc + j);
-            const double* ap = a + i0;
-            const double* bp = b + j;
-            for (size_t s = 0; s < nsegs; ++s) {
-                __m512d p0 = _mm512_setzero_pd();
-                __m512d p1 = _mm512_setzero_pd();
-                __m512d p2 = _mm512_setzero_pd();
-                __m512d p3 = _mm512_setzero_pd();
-                __m512d p4 = _mm512_setzero_pd();
-                __m512d p5 = _mm512_setzero_pd();
-                __m512d p6 = _mm512_setzero_pd();
-                __m512d p7 = _mm512_setzero_pd();
-                for (size_t r = 0; r < seg_rows[s]; ++r) {
-                    const __m512d bv = _mm512_loadu_pd(bp);
-                    p0 = _mm512_add_pd(
-                        p0, _mm512_mul_pd(_mm512_set1_pd(ap[0]), bv));
-                    p1 = _mm512_add_pd(
-                        p1, _mm512_mul_pd(_mm512_set1_pd(ap[1]), bv));
-                    p2 = _mm512_add_pd(
-                        p2, _mm512_mul_pd(_mm512_set1_pd(ap[2]), bv));
-                    p3 = _mm512_add_pd(
-                        p3, _mm512_mul_pd(_mm512_set1_pd(ap[3]), bv));
-                    p4 = _mm512_add_pd(
-                        p4, _mm512_mul_pd(_mm512_set1_pd(ap[4]), bv));
-                    p5 = _mm512_add_pd(
-                        p5, _mm512_mul_pd(_mm512_set1_pd(ap[5]), bv));
-                    p6 = _mm512_add_pd(
-                        p6, _mm512_mul_pd(_mm512_set1_pd(ap[6]), bv));
-                    p7 = _mm512_add_pd(
-                        p7, _mm512_mul_pd(_mm512_set1_pd(ap[7]), bv));
-                    ap += lda;
-                    bp += ldb;
-                }
-                acc0 = _mm512_add_pd(acc0, p0);
-                acc1 = _mm512_add_pd(acc1, p1);
-                acc2 = _mm512_add_pd(acc2, p2);
-                acc3 = _mm512_add_pd(acc3, p3);
-                acc4 = _mm512_add_pd(acc4, p4);
-                acc5 = _mm512_add_pd(acc5, p5);
-                acc6 = _mm512_add_pd(acc6, p6);
-                acc7 = _mm512_add_pd(acc7, p7);
-            }
-            _mm512_storeu_pd(c + (i0 + 0) * ldc + j, acc0);
-            _mm512_storeu_pd(c + (i0 + 1) * ldc + j, acc1);
-            _mm512_storeu_pd(c + (i0 + 2) * ldc + j, acc2);
-            _mm512_storeu_pd(c + (i0 + 3) * ldc + j, acc3);
-            _mm512_storeu_pd(c + (i0 + 4) * ldc + j, acc4);
-            _mm512_storeu_pd(c + (i0 + 5) * ldc + j, acc5);
-            _mm512_storeu_pd(c + (i0 + 6) * ldc + j, acc6);
-            _mm512_storeu_pd(c + (i0 + 7) * ldc + j, acc7);
-        }
-        // Column tail (<8 remaining): two 4-row passes. Each C element's
-        // add chain is independent per (i, j), so splitting the row
-        // block here changes no byte.
-        for (size_t h = i0; h < i0 + 8; h += 4) {
-            double* c0 = c + (h + 0) * ldc;
-            double* c1 = c + (h + 1) * ldc;
-            double* c2 = c + (h + 2) * ldc;
-            double* c3 = c + (h + 3) * ldc;
-            size_t jj = j;
-            for (; jj + 4 <= bcols; jj += 4) {
-                __m256d acc0 = _mm256_loadu_pd(c0 + jj);
-                __m256d acc1 = _mm256_loadu_pd(c1 + jj);
-                __m256d acc2 = _mm256_loadu_pd(c2 + jj);
-                __m256d acc3 = _mm256_loadu_pd(c3 + jj);
-                const double* ap = a + h;
-                const double* bp = b + jj;
-                for (size_t s = 0; s < nsegs; ++s) {
-                    __m256d p0 = _mm256_setzero_pd();
-                    __m256d p1 = _mm256_setzero_pd();
-                    __m256d p2 = _mm256_setzero_pd();
-                    __m256d p3 = _mm256_setzero_pd();
-                    for (size_t r = 0; r < seg_rows[s]; ++r) {
-                        const __m256d bv = _mm256_loadu_pd(bp);
-                        p0 = _mm256_add_pd(
-                            p0, _mm256_mul_pd(_mm256_set1_pd(ap[0]), bv));
-                        p1 = _mm256_add_pd(
-                            p1, _mm256_mul_pd(_mm256_set1_pd(ap[1]), bv));
-                        p2 = _mm256_add_pd(
-                            p2, _mm256_mul_pd(_mm256_set1_pd(ap[2]), bv));
-                        p3 = _mm256_add_pd(
-                            p3, _mm256_mul_pd(_mm256_set1_pd(ap[3]), bv));
-                        ap += lda;
-                        bp += ldb;
-                    }
-                    acc0 = _mm256_add_pd(acc0, p0);
-                    acc1 = _mm256_add_pd(acc1, p1);
-                    acc2 = _mm256_add_pd(acc2, p2);
-                    acc3 = _mm256_add_pd(acc3, p3);
-                }
-                _mm256_storeu_pd(c0 + jj, acc0);
-                _mm256_storeu_pd(c1 + jj, acc1);
-                _mm256_storeu_pd(c2 + jj, acc2);
-                _mm256_storeu_pd(c3 + jj, acc3);
-            }
-            for (; jj < bcols; ++jj) {
-                double acc0 = c0[jj];
-                double acc1 = c1[jj];
-                double acc2 = c2[jj];
-                double acc3 = c3[jj];
-                const double* ap = a + h;
-                const double* bp = b + jj;
-                for (size_t s = 0; s < nsegs; ++s) {
-                    double p0 = 0.0, p1 = 0.0, p2 = 0.0, p3 = 0.0;
-                    for (size_t r = 0; r < seg_rows[s]; ++r) {
-                        const double bv = bp[0];
-                        p0 += ap[0] * bv;
-                        p1 += ap[1] * bv;
-                        p2 += ap[2] * bv;
-                        p3 += ap[3] * bv;
-                        ap += lda;
-                        bp += ldb;
-                    }
-                    acc0 += p0;
-                    acc1 += p1;
-                    acc2 += p2;
-                    acc3 += p3;
-                }
-                c0[jj] = acc0;
-                c1[jj] = acc1;
-                c2[jj] = acc2;
-                c3[jj] = acc3;
-            }
-        }
-    }
-    for (; i0 + 4 <= acols; i0 += 4) {
-        double* c0 = c + (i0 + 0) * ldc;
-        double* c1 = c + (i0 + 1) * ldc;
-        double* c2 = c + (i0 + 2) * ldc;
-        double* c3 = c + (i0 + 3) * ldc;
-        // 4-row x 8-wide-ZMM register tile. Wider tiles (two ZMM panels
-        // per row) measured slower on this host despite the extra
-        // add-latency slack — the 12 live accumulator/partial registers
-        // push GCC into reordering that loses the shared-broadcast win.
-        size_t j = 0;
-        for (; j + 8 <= bcols; j += 8) {
-            __m512d acc0 = _mm512_loadu_pd(c0 + j);
-            __m512d acc1 = _mm512_loadu_pd(c1 + j);
-            __m512d acc2 = _mm512_loadu_pd(c2 + j);
-            __m512d acc3 = _mm512_loadu_pd(c3 + j);
-            const double* ap = a + i0;
-            const double* bp = b + j;
-            for (size_t s = 0; s < nsegs; ++s) {
-                __m512d p0 = _mm512_setzero_pd();
-                __m512d p1 = _mm512_setzero_pd();
-                __m512d p2 = _mm512_setzero_pd();
-                __m512d p3 = _mm512_setzero_pd();
-                for (size_t r = 0; r < seg_rows[s]; ++r) {
-                    const __m512d bv = _mm512_loadu_pd(bp);
-                    p0 = _mm512_add_pd(
-                        p0, _mm512_mul_pd(_mm512_set1_pd(ap[0]), bv));
-                    p1 = _mm512_add_pd(
-                        p1, _mm512_mul_pd(_mm512_set1_pd(ap[1]), bv));
-                    p2 = _mm512_add_pd(
-                        p2, _mm512_mul_pd(_mm512_set1_pd(ap[2]), bv));
-                    p3 = _mm512_add_pd(
-                        p3, _mm512_mul_pd(_mm512_set1_pd(ap[3]), bv));
-                    ap += lda;
-                    bp += ldb;
-                }
-                acc0 = _mm512_add_pd(acc0, p0);
-                acc1 = _mm512_add_pd(acc1, p1);
-                acc2 = _mm512_add_pd(acc2, p2);
-                acc3 = _mm512_add_pd(acc3, p3);
-            }
-            _mm512_storeu_pd(c0 + j, acc0);
-            _mm512_storeu_pd(c1 + j, acc1);
-            _mm512_storeu_pd(c2 + j, acc2);
-            _mm512_storeu_pd(c3 + j, acc3);
-        }
-        for (; j + 4 <= bcols; j += 4) {
-            __m256d acc0 = _mm256_loadu_pd(c0 + j);
-            __m256d acc1 = _mm256_loadu_pd(c1 + j);
-            __m256d acc2 = _mm256_loadu_pd(c2 + j);
-            __m256d acc3 = _mm256_loadu_pd(c3 + j);
-            const double* ap = a + i0;
-            const double* bp = b + j;
-            for (size_t s = 0; s < nsegs; ++s) {
-                __m256d p0 = _mm256_setzero_pd();
-                __m256d p1 = _mm256_setzero_pd();
-                __m256d p2 = _mm256_setzero_pd();
-                __m256d p3 = _mm256_setzero_pd();
-                for (size_t r = 0; r < seg_rows[s]; ++r) {
-                    const __m256d bv = _mm256_loadu_pd(bp);
-                    p0 = _mm256_add_pd(
-                        p0, _mm256_mul_pd(_mm256_set1_pd(ap[0]), bv));
-                    p1 = _mm256_add_pd(
-                        p1, _mm256_mul_pd(_mm256_set1_pd(ap[1]), bv));
-                    p2 = _mm256_add_pd(
-                        p2, _mm256_mul_pd(_mm256_set1_pd(ap[2]), bv));
-                    p3 = _mm256_add_pd(
-                        p3, _mm256_mul_pd(_mm256_set1_pd(ap[3]), bv));
-                    ap += lda;
-                    bp += ldb;
-                }
-                acc0 = _mm256_add_pd(acc0, p0);
-                acc1 = _mm256_add_pd(acc1, p1);
-                acc2 = _mm256_add_pd(acc2, p2);
-                acc3 = _mm256_add_pd(acc3, p3);
-            }
-            _mm256_storeu_pd(c0 + j, acc0);
-            _mm256_storeu_pd(c1 + j, acc1);
-            _mm256_storeu_pd(c2 + j, acc2);
-            _mm256_storeu_pd(c3 + j, acc3);
-        }
-        for (; j < bcols; ++j) {
-            double acc0 = c0[j];
-            double acc1 = c1[j];
-            double acc2 = c2[j];
-            double acc3 = c3[j];
-            const double* ap = a + i0;
-            const double* bp = b + j;
-            for (size_t s = 0; s < nsegs; ++s) {
-                double p0 = 0.0, p1 = 0.0, p2 = 0.0, p3 = 0.0;
-                for (size_t r = 0; r < seg_rows[s]; ++r) {
-                    const double bv = bp[0];
-                    p0 += ap[0] * bv;
-                    p1 += ap[1] * bv;
-                    p2 += ap[2] * bv;
-                    p3 += ap[3] * bv;
-                    ap += lda;
-                    bp += ldb;
-                }
-                acc0 += p0;
-                acc1 += p1;
-                acc2 += p2;
-                acc3 += p3;
-            }
-            c0[j] = acc0;
-            c1[j] = acc1;
-            c2[j] = acc2;
-            c3[j] = acc3;
-        }
-    }
-    for (; i0 < acols; ++i0) {
-        double* crow = c + i0 * ldc;
-        size_t j = 0;
-        for (; j + 8 <= bcols; j += 8) {
-            __m512d acc = _mm512_loadu_pd(crow + j);
-            const double* ap = a + i0;
-            const double* bp = b + j;
-            for (size_t s = 0; s < nsegs; ++s) {
-                __m512d p = _mm512_setzero_pd();
-                for (size_t r = 0; r < seg_rows[s]; ++r) {
-                    p = _mm512_add_pd(
-                        p, _mm512_mul_pd(_mm512_set1_pd(ap[0]),
-                                         _mm512_loadu_pd(bp)));
-                    ap += lda;
-                    bp += ldb;
-                }
-                acc = _mm512_add_pd(acc, p);
-            }
-            _mm512_storeu_pd(crow + j, acc);
-        }
-        for (; j + 4 <= bcols; j += 4) {
-            __m256d acc = _mm256_loadu_pd(crow + j);
-            const double* ap = a + i0;
-            const double* bp = b + j;
-            for (size_t s = 0; s < nsegs; ++s) {
-                __m256d p = _mm256_setzero_pd();
-                for (size_t r = 0; r < seg_rows[s]; ++r) {
-                    p = _mm256_add_pd(
-                        p, _mm256_mul_pd(_mm256_set1_pd(ap[0]),
-                                         _mm256_loadu_pd(bp)));
-                    ap += lda;
-                    bp += ldb;
-                }
-                acc = _mm256_add_pd(acc, p);
-            }
-            _mm256_storeu_pd(crow + j, acc);
-        }
-        for (; j < bcols; ++j) {
-            double acc = crow[j];
-            const double* ap = a + i0;
-            const double* bp = b + j;
-            for (size_t s = 0; s < nsegs; ++s) {
-                double p = 0.0;
-                for (size_t r = 0; r < seg_rows[s]; ++r) {
-                    p += ap[0] * bp[0];
-                    ap += lda;
-                    bp += ldb;
-                }
-                acc += p;
-            }
-            crow[j] = acc;
-        }
-    }
+    segTiles<Lanes8, Lanes4, double>(a, lda, b, ldb, seg_rows, nsegs, acols,
+                                     bcols, c, ldc);
+}
+
+/** AVX2 segment-blocked tier: 4- and 1-row blocks over YMM and scalar
+ *  panels. */
+__attribute__((target("avx2"))) void
+matmulTNSegBlockedAvx2(const double* a, size_t lda, const double* b,
+                       size_t ldb, const size_t* seg_rows, size_t nsegs,
+                       size_t acols, size_t bcols, double* c, size_t ldc)
+{
+    segTiles<Lanes4, double>(a, lda, b, ldb, seg_rows, nsegs, acols, bcols,
+                             c, ldc);
 }
 
 #endif // PRUNER_NNKERNEL_X86
@@ -756,17 +354,16 @@ using MatmulFn = void (*)(const double*, size_t, size_t, size_t,
  * One-time dispatch self-check: a kernel tier is only used if it
  * reproduces the naive golden kernel bit for bit on a case that covers
  * the main tile and every remainder path. This demotes a tier that a
- * compiler silently broke (e.g. contracting the explicit mul+add
- * intrinsics into FMAs under -ffp-contract=fast) instead of letting it
- * violate the engine's byte-identity guarantee.
+ * compiler silently broke (e.g. contracting the tiles' mul+add pairs into
+ * FMAs under -ffp-contract=fast) instead of letting it violate the
+ * engine's byte-identity guarantee.
  */
 bool
 matchesNaiveKernel(MatmulFn fn)
 {
-    // m = 9, n = 27 reaches every path of every tier: full 4-row blocks
-    // plus a row remainder, a full vector j-panel plus a sub-panel and a
-    // scalar column remainder (for the AVX-512 tier that includes its
-    // delegations into the AVX2 kernel's main 4x8 block).
+    // m = 9, n = 27 reaches every tile of every tier: two 4-row blocks
+    // plus a single row, each over 16 + 8 + 3 columns on the AVX-512 tier
+    // (ZMM, YMM and scalar tiles) and 3 x 8 + 3 on the AVX2 tier.
     constexpr size_t m = 9, k = 9, n = 27;
     double a[m * k], b[k * n], fast[m * n], naive[m * n];
     uint64_t state = 0x9E3779B97F4A7C15ull;
@@ -920,98 +517,59 @@ matchesSegBlockedReference(MatmulTNSegFn fn)
 }
 
 /** A dispatched kernel plus its tier name (see nnkernel::kernelTiers). */
-struct PickedMatmul
+template <class Fn>
+struct Picked
 {
-    MatmulFn fn;
-    const char* tier;
-};
-struct PickedMatmulTNSeg
-{
-    MatmulTNSegFn fn;
+    Fn fn;
     const char* tier;
 };
 
-/** CPU-supported tiers rejected by their startup self-check (see
- *  kernelTierDemotions). Atomic: first-use dispatch can race across the
- *  pool's worker threads. */
-std::atomic<size_t> g_tier_demotions{0};
-
-void
-noteTierDemotion()
+/** Both kernels' tiers, picked once per process on first use. */
+struct Dispatch
 {
-    g_tier_demotions.fetch_add(1, std::memory_order_relaxed);
-}
+    Picked<MatmulFn> matmul{matmulScalarTile, "scalar"};
+    Picked<MatmulTNSegFn> seg{matmulTNSegBlockedNaive, "naive"};
+    /** CPU-supported tiers rejected by their self-check (see
+     *  kernelTierDemotions). */
+    size_t demotions = 0;
+};
 
+/**
+ * Self-checks every tier the CPU supports, narrowest first, so each kernel
+ * ends on the widest tier that passes and every tier that fails is counted
+ * as a demotion, also one a passing wider tier would have hidden.
+ */
+Dispatch
+pickTiers()
+{
+    Dispatch d;
 #ifdef PRUNER_NNKERNEL_X86
-
-PickedMatmul
-pickKernel()
-{
-    // The AVX-512 tier delegates its remainders to the AVX2 kernel, so
-    // both must pass before it is accepted.
-    if (__builtin_cpu_supports("avx512f")) {
-        if (matchesNaiveKernel(matmulAvx512) &&
-            matchesNaiveKernel(matmulAvx2)) {
-            return {matmulAvx512, "avx512"};
+    auto check = [&d](auto& picked, auto fn, auto passes, const char* tier) {
+        if (passes(fn)) {
+            picked = {fn, tier};
+        } else {
+            ++d.demotions;
         }
-        noteTierDemotion();
-    }
+    };
     if (__builtin_cpu_supports("avx2")) {
-        if (matchesNaiveKernel(matmulAvx2)) {
-            return {matmulAvx2, "avx2"};
-        }
-        noteTierDemotion();
+        check(d.matmul, matmulAvx2, matchesNaiveKernel, "avx2");
+        check(d.seg, matmulTNSegBlockedAvx2, matchesSegBlockedReference,
+              "avx2");
     }
-    return {matmulScalarTile, "scalar"};
-}
-
-PickedMatmulTNSeg
-pickKernelTNSeg()
-{
     if (__builtin_cpu_supports("avx512f")) {
-        if (matchesSegBlockedReference(matmulTNSegBlockedAvx512)) {
-            return {matmulTNSegBlockedAvx512, "avx512"};
-        }
-        noteTierDemotion();
+        check(d.matmul, matmulAvx512, matchesNaiveKernel, "avx512");
+        check(d.seg, matmulTNSegBlockedAvx512, matchesSegBlockedReference,
+              "avx512");
     }
-    if (__builtin_cpu_supports("avx2")) {
-        if (matchesSegBlockedReference(matmulTNSegBlockedAvx2)) {
-            return {matmulTNSegBlockedAvx2, "avx2"};
-        }
-        noteTierDemotion();
-    }
-    return {matmulTNSegBlockedNaive, "naive"};
-}
-
-#else
-
-PickedMatmul
-pickKernel()
-{
-    return {matmulScalarTile, "scalar"};
-}
-
-PickedMatmulTNSeg
-pickKernelTNSeg()
-{
-    return {matmulTNSegBlockedNaive, "naive"};
-}
-
 #endif
-
-/** Once-per-process dispatch caches (the self-check runs on first use). */
-const PickedMatmul&
-pickedKernel()
-{
-    static const PickedMatmul kernel = pickKernel();
-    return kernel;
+    return d;
 }
 
-const PickedMatmulTNSeg&
-pickedKernelTNSeg()
+const Dispatch&
+dispatch()
 {
-    static const PickedMatmulTNSeg kernel = pickKernelTNSeg();
-    return kernel;
+    static const Dispatch d = pickTiers();
+    return d;
 }
 
 } // namespace
@@ -1021,16 +579,14 @@ kernelTiers()
 {
     // matmulNT runs on the matmul kernel and the TN-accumulate on the
     // segment-blocked one, so their fields report those two tiers.
-    const char* mm = pickedKernel().tier;
-    const char* seg = pickedKernelTNSeg().tier;
-    return {mm, mm, seg, seg};
+    const Dispatch& d = dispatch();
+    return {d.matmul.tier, d.matmul.tier, d.seg.tier, d.seg.tier};
 }
 
 size_t
 kernelTierDemotions()
 {
-    kernelTiers(); // force every kernel's dispatch self-check
-    return g_tier_demotions.load(std::memory_order_relaxed);
+    return dispatch().demotions;
 }
 
 void
@@ -1038,7 +594,7 @@ matmul(const double* a, size_t m, size_t k, size_t lda, const double* b,
        size_t n, size_t ldb, double* c, size_t ldc, const double* bias,
        bool relu)
 {
-    pickedKernel().fn(a, m, k, lda, b, n, ldb, c, ldc, bias, relu);
+    dispatch().matmul.fn(a, m, k, lda, b, n, ldb, c, ldc, bias, relu);
 }
 
 void
@@ -1125,7 +681,7 @@ matmulTNSegBlocked(const double* a, size_t lda, const double* b, size_t ldb,
                    const size_t* seg_rows, size_t nsegs, size_t acols,
                    size_t bcols, double* c, size_t ldc)
 {
-    const MatmulTNSegFn fn = pickedKernelTNSeg().fn;
+    const MatmulTNSegFn fn = dispatch().seg.fn;
     // Cache-block the segment list: the tier kernels walk every segment
     // once per C tile, so a pack larger than L2 would stream DRAM once
     // per tile. Splitting the run at whole-segment boundaries keeps each

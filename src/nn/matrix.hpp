@@ -29,10 +29,11 @@ namespace nnkernel {
  * order with separate multiply and add roundings (no FMA contraction), so
  * the result is bitwise identical to the naive triple loop for any m — the
  * property the batched inference engine's byte-identity guarantee rests
- * on. Dispatches at runtime to an AVX-512 / AVX2 micro-kernel (explicit
- * mul-then-add intrinsics) where available, falling back to a 4x16 scalar
- * register tile; tile sizes are tuned for the 64-wide hidden layers of the
- * cost models (see matrix.cpp).
+ * on. Dispatches at runtime to the AVX-512 or AVX2 instantiation of one
+ * register-tile template (separate vector multiply and add, never FMA)
+ * where available, falling back to a 4x16 scalar register tile; tile
+ * sizes are tuned for the 64-wide hidden layers of the cost models (see
+ * matrix.cpp).
  *
  * Optional fused epilogue, applied in the store step instead of as extra
  * memory passes: when @p bias is non-null, bias[j] is added to each
@@ -133,10 +134,12 @@ struct KernelTiers
 KernelTiers kernelTiers();
 
 /** Number of kernel tiers the CPU supports but the startup self-check
- *  rejected (demoted to a lower tier). Zero on a healthy host: a nonzero
- *  value means a toolchain/codegen change broke a vector kernel's
- *  byte-identity contract and the engine silently fell back. Forces the
- *  dispatch of every kernel on first call; feeds the
+ *  rejected. Every supported tier of both kernels is checked, not only
+ *  the widest, so a failing tier counts even when a wider one passes and
+ *  is picked. Zero on a healthy host: a nonzero value means a
+ *  toolchain/codegen change broke a vector kernel's byte-identity
+ *  contract, and a kernel whose widest tier failed silently fell back.
+ *  Forces the dispatch of every kernel on first call; feeds the
  *  kernel_tier_demotions_total metric and the tuneReport warning row. */
 size_t kernelTierDemotions();
 

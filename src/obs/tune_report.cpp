@@ -171,16 +171,18 @@ tuneReport(const TuneResult& result, const MetricsSnapshot& metrics)
     }
 
     // Kernel-tier demotions: a GEMM tier the CPU supports failed its
-    // startup byte-identity self-check and the engine silently fell back
-    // to a slower tier. Always worth a loud line — it usually means a
-    // toolchain/codegen change (e.g. FMA contraction) broke a vector
-    // kernel's bit-exactness contract on this host.
+    // startup byte-identity self-check; if it was a kernel's widest tier,
+    // the engine silently fell back to a slower one. Always worth a loud
+    // line — it usually means a toolchain/codegen change (e.g. FMA
+    // contraction) broke a vector kernel's bit-exactness contract on this
+    // host.
     for (const MetricsSnapshot::CounterValue& c : metrics.counters) {
         if (c.name == "kernel_tier_demotions_total" && c.value > 0) {
             out << "WARNING: " << c.value
                 << " GEMM kernel tier(s) demoted by the startup "
-                   "self-check — vector kernels fell back to a slower "
-                   "tier (see nn_kernel_* labels in /metrics)\n";
+                   "self-check — a kernel whose widest tier failed fell "
+                   "back to a slower tier (see nn_kernel_* labels in "
+                   "/metrics)\n";
         }
     }
     return out.str();

@@ -28,7 +28,7 @@ exportKernelTiers(obs::MetricsRegistry& metrics)
     metrics.setLabel("nn_kernel_matmul_tn_seg", tiers.matmul_tn_seg, ch);
     // CPU-supported tiers the startup self-check rejected. Zero on a
     // healthy host; nonzero means a vector kernel broke its byte-identity
-    // contract and silently fell back (surfaced as a tuneReport warning).
+    // contract (surfaced as a tuneReport warning).
     // Counters are monotonic, so set-once-per-export stays idempotent:
     // the demotion total is fixed after the first dispatch.
     obs::Counter* demotions =

@@ -143,7 +143,11 @@ TEST(Matrix, TiledMatmulMatchesNaiveKernelBitwise)
     // this host selected) must reproduce the frozen naive kernel bit for
     // bit across shapes that exercise the main tile and every remainder
     // path — this is the foundation of the engine's byte-identity claim.
+    // A second pass per shape runs the fused bias+relu epilogue against
+    // matmulNaive + bias[j], then (v > 0 ? v : 0). Its biases come from
+    // their own stream, so the first pass's A and B do not depend on it.
     Rng rng(101);
+    Rng bias_rng(102);
     for (const auto [m, k, n] :
          {std::array<size_t, 3>{1, 1, 1}, {1, 128, 64}, {3, 7, 5},
           {4, 40, 64}, {5, 23, 17}, {9, 64, 64}, {33, 64, 23},
@@ -160,6 +164,22 @@ TEST(Matrix, TiledMatmulMatchesNaiveKernelBitwise)
                               m * n * sizeof(double)),
                   0)
             << "kernel diverged at [" << m << "x" << k << "x" << n << "]";
+
+        const Matrix bias = Matrix::randn(1, n, bias_rng, 1.0);
+        Matrix fused(m, n);
+        nnkernel::matmul(a.row(0), m, k, k, b.row(0), n, n, fused.row(0), n,
+                         bias.row(0), true);
+        for (size_t i = 0; i < m; ++i) {
+            for (size_t j = 0; j < n; ++j) {
+                const double v = naive.at(i, j) + bias.at(0, j);
+                naive.at(i, j) = v > 0.0 ? v : 0.0;
+            }
+        }
+        EXPECT_EQ(std::memcmp(fused.data().data(), naive.data().data(),
+                              m * n * sizeof(double)),
+                  0)
+            << "bias+relu epilogue diverged at [" << m << "x" << k << "x"
+            << n << "]";
     }
 }
 
@@ -353,8 +373,9 @@ TEST(Kernels, NoSupportedTierIsDemoted)
 {
     // A tier the CPU supports but that fails its startup self-check only
     // warns in the tune report and runs the slower tier; fail here
-    // instead. matmulNT and the TN-accumulate have no tiers of their own,
-    // so their fields report the kernels they run on.
+    // instead. Every supported tier is checked, so on an AVX-512 host this
+    // guards the AVX2 tiers too. matmulNT and the TN-accumulate have no
+    // tiers of their own, so their fields report the kernels they run on.
     EXPECT_EQ(nnkernel::kernelTierDemotions(), 0u);
     const nnkernel::KernelTiers tiers = nnkernel::kernelTiers();
     EXPECT_STREQ(tiers.matmul_nt, tiers.matmul);

@@ -33,6 +33,7 @@
 #include "sched/sampler.hpp"
 #include "search/search_policy.hpp"
 #include "sim/gpu_simulator.hpp"
+#include "support/stats.hpp"
 #include "support/table.hpp"
 #include "support/thread_pool.hpp"
 
@@ -326,6 +327,67 @@ makeTrainingRecords(const DeviceSpec& device, size_t n_records,
         }
     }
     return records;
+}
+
+/**
+ * One search-time speedup cell (Fig 7, Table 9): the baseline's whole
+ * simulated budget over the time Pruner's curve first reaches the
+ * baseline's final latency. Two outcomes are not measurements, print as
+ * such and stay out of every geomean:
+ *  - Pruner's first curve point already beats the baseline, so the ratio
+ *    is only a lower bound set by the budget ("≥ 2.81x");
+ *  - Pruner never reaches it within its budget ("not reached").
+ */
+struct SearchSpeedup
+{
+    enum class Kind { Measured, AtFirstPoint, NotReached };
+    Kind kind = Kind::NotReached;
+    double ratio = 0.0; ///< budget / time-to-reach (not when NotReached)
+
+    static SearchSpeedup
+    of(const TuneResult& baseline, const TuneResult& ours)
+    {
+        const double t = ours.timeToReach(baseline.final_latency);
+        if (!std::isfinite(t)) {
+            return {};
+        }
+        const bool first = ours.curve.front().latency_s <=
+                           baseline.final_latency;
+        return {first ? Kind::AtFirstPoint : Kind::Measured,
+                baseline.total_time_s / t};
+    }
+
+    std::string
+    str() const
+    {
+        switch (kind) {
+        case Kind::Measured:
+            return Table::fmtSpeedup(ratio);
+        case Kind::AtFirstPoint:
+            return "≥ " + Table::fmtSpeedup(ratio);
+        case Kind::NotReached:
+            break;
+        }
+        return "not reached";
+    }
+};
+
+/** Geomean of the measured cells with its count, e.g. "1.77x over 5 of
+ *  7", or "n/a over 0 of 7" when no cell is measured. */
+inline std::string
+measuredGeomean(const std::vector<SearchSpeedup>& cells)
+{
+    std::vector<double> measured;
+    for (const SearchSpeedup& c : cells) {
+        if (c.kind == SearchSpeedup::Kind::Measured) {
+            measured.push_back(c.ratio);
+        }
+    }
+    std::string out =
+        measured.empty() ? "n/a" : Table::fmtSpeedup(geomean(measured));
+    out += " over " + std::to_string(measured.size()) + " of " +
+           std::to_string(cells.size());
+    return out;
 }
 
 /** Print the standard scaling disclaimer. */

@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "nn/loss.hpp"
+#include "nn/optimizer.hpp"
 #include "obs/metrics.hpp"
 #include "support/logging.hpp"
 
@@ -52,17 +53,34 @@ groupByTask(const std::vector<MeasuredRecord>& records)
 
 } // namespace detail
 
+namespace {
+
+// The training settings every learned model shares (see
+// trainRankingLoop's contract).
+constexpr double kLearningRate = 1e-3;
+constexpr double kMaxGradNorm = 5.0;
+constexpr size_t kGroupCap = 48;
+
+/** One optimizer step from the group's accumulated gradients. */
+void
+stepAndZero(Adam& adam)
+{
+    adam.clipGradNorm(kMaxGradNorm);
+    adam.step();
+    adam.zeroGrad();
+}
+
+} // namespace
+
 double
 trainRankingLoop(
-    const std::vector<MeasuredRecord>& records, int epochs, size_t group_cap,
-    Rng& rng,
-    const std::function<void(const std::vector<size_t>&,
-                             std::vector<double>&)>& infer_scores,
-    const std::function<void(const std::vector<size_t>&,
-                             const std::vector<double>&)>& fit_batch,
-    const std::function<void()>& on_batch_end,
+    const std::vector<MeasuredRecord>& records, int epochs,
+    std::vector<ParamRef> params, Rng& rng, const SubsetScoreFn& score,
+    const std::function<void(const std::vector<double>&)>& fit_batch,
     const CostModel::ModelObsCounters& counters)
 {
+    Adam adam(std::move(params), kLearningRate);
+    adam.zeroGrad();
     auto groups = detail::groupByTask(records);
     double last_epoch_loss = 0.0;
     // Loop-level buffers, reused across groups and epochs.
@@ -80,16 +98,17 @@ trainRankingLoop(
             }
             rng.shuffle(group);
             subset.assign(group.begin(),
-                          group.begin() + std::min(group.size(), group_cap));
-            infer_scores(subset, scores);
+                          group.begin() + std::min(group.size(), kGroupCap));
+            scores.resize(subset.size());
+            score(subset, scores.data());
             latencies.clear();
             for (size_t idx : subset) {
                 latencies.push_back(records[idx].latency);
             }
             lambdaRankLossInto(scores, latencies, /*sigma=*/1.0, loss,
                                scratch);
-            fit_batch(subset, loss.grad);
-            on_batch_end();
+            fit_batch(loss.grad);
+            stepAndZero(adam);
             epoch_loss += loss.loss;
             ++batches;
             obs::counterAdd(counters.train_groups);
@@ -103,13 +122,12 @@ trainRankingLoop(
 
 double
 trainRankingLoopReference(
-    const std::vector<MeasuredRecord>& records, int epochs, size_t group_cap,
-    Rng& rng,
-    const std::function<std::vector<double>(const std::vector<size_t>&)>&
-        infer_scores,
-    const std::function<void(size_t, double)>& fit_one,
-    const std::function<void()>& on_batch_end)
+    const std::vector<MeasuredRecord>& records, int epochs,
+    std::vector<ParamRef> params, Rng& rng, const SubsetScoreFn& score,
+    const std::function<void(size_t, double)>& fit_one)
 {
+    Adam adam(std::move(params), kLearningRate);
+    adam.zeroGrad();
     auto groups = detail::groupByTask(records);
     double last_epoch_loss = 0.0;
     for (int epoch = 0; epoch < epochs; ++epoch) {
@@ -123,8 +141,9 @@ trainRankingLoopReference(
             rng.shuffle(group);
             std::vector<size_t> subset(
                 group.begin(),
-                group.begin() + std::min(group.size(), group_cap));
-            const std::vector<double> scores = infer_scores(subset);
+                group.begin() + std::min(group.size(), kGroupCap));
+            std::vector<double> scores(subset.size());
+            score(subset, scores.data());
             std::vector<double> latencies;
             latencies.reserve(subset.size());
             for (size_t idx : subset) {
@@ -136,7 +155,7 @@ trainRankingLoopReference(
                     fit_one(subset[i], loss.grad[i]);
                 }
             }
-            on_batch_end();
+            stepAndZero(adam);
             epoch_loss += loss.loss;
             ++batches;
         }

@@ -21,6 +21,7 @@
 
 #include "device/device_spec.hpp"
 #include "ir/task.hpp"
+#include "nn/layers.hpp"
 #include "sched/schedule.hpp"
 #include "support/rng.hpp"
 
@@ -134,57 +135,59 @@ groupByTask(const std::vector<MeasuredRecord>& records);
 
 } // namespace detail
 
+/** Scores training records @p subset (pack order) into out[0, size). */
+using SubsetScoreFn =
+    std::function<void(const std::vector<size_t>& subset, double* out)>;
+
 /**
  * Shared LambdaRank training loop — batched backward.
  *
+ * Owns the optimizer every learned model trains with: a fresh Adam over
+ * @p params at learning rate 1e-3 per call, and after each group's fit
+ * the global gradient norm clipped to 5.0, one Adam step and zeroed
+ * gradients. Each epoch shuffles the task groups, then each group, and
+ * fits at most 48 records of it (LambdaRank is quadratic in group size).
+ *
  * Identical group/shuffle/loss structure (and RNG consumption) to
  * trainRankingLoopReference, but each group's fit runs as ONE
- * segment-packed batch: @p fit_batch receives the sampled subset (in pack
- * order) and the per-record dL/dscore, and must make zero-gradient
- * records byte-level no-ops — either by skipping them like the reference
- * loop skips its fit_one calls, or by carrying them with a zero dy row
- * (all their partials are exactly +0.0; the models do the latter so the
- * backward can reuse the scoring pass's activations). infer_scores and
- * fit_batch are always called as a pair per group, so scoring state may
- * carry into the fit. All loop-level buffers (subset, scores, latencies,
- * loss scratch) are reused across groups and epochs, so steady-state
- * epochs allocate nothing at the loop level.
+ * segment-packed batch: @p fit_batch receives the per-record dL/dscore of
+ * the subset @p score just scored, and must make zero-gradient records
+ * byte-level no-ops — either by skipping them like the reference loop
+ * skips its fit_one calls, or by carrying them with a zero dy row (all
+ * their partials are exactly +0.0; the models do the latter so the
+ * backward can reuse the scoring pass's activations). score and fit_batch
+ * are always called as a pair per group, so scoring state may carry into
+ * the fit. All loop-level buffers (subset, scores, latencies, loss
+ * scratch) are reused across groups and epochs, so steady-state epochs
+ * allocate nothing at the loop level.
  *
  * @param records  measured data
  * @param epochs   passes over the grouped data
- * @param group_cap  max candidates per group per epoch (LambdaRank is
- *                   quadratic in group size)
+ * @param params   the model's parameters and gradients
  * @param rng      sampling source
- * @param infer_scores  cache-free scoring of a subset (pack order) into a
- *                      reused output buffer (resized to subset.size())
- * @param fit_batch  one batched forward+backward over the subset
- * @param on_batch_end  apply the optimizer step
+ * @param score    scoring of a subset, caching what fit_batch needs
+ * @param fit_batch  one batched backward over the subset just scored
  * @param counters  optional training counters (null members are no-ops)
  * Returns the last epoch's mean per-group loss.
  */
 double trainRankingLoop(
-    const std::vector<MeasuredRecord>& records, int epochs, size_t group_cap,
-    Rng& rng,
-    const std::function<void(const std::vector<size_t>&,
-                             std::vector<double>&)>& infer_scores,
-    const std::function<void(const std::vector<size_t>&,
-                             const std::vector<double>&)>& fit_batch,
-    const std::function<void()>& on_batch_end,
+    const std::vector<MeasuredRecord>& records, int epochs,
+    std::vector<ParamRef> params, Rng& rng, const SubsetScoreFn& score,
+    const std::function<void(const std::vector<double>& dscores)>&
+        fit_batch,
     const CostModel::ModelObsCounters& counters = {});
 
 /**
- * The frozen pre-batching loop: per-record @p fit_one calls (skipping
- * zero gradients), one record's full forward+backward at a time, then one
- * @p on_batch_end step per group. Kept verbatim as the golden reference
- * behind every model's trainReference(); byte-for-byte the behaviour
- * train() had before the batched backward.
+ * The frozen pre-batching loop: the same optimizer and sampling as
+ * trainRankingLoop, but per-record @p fit_one calls (skipping zero
+ * gradients), one record's full forward+backward at a time, then one step
+ * per group. Kept as the golden reference behind every model's
+ * trainReference(); byte-for-byte the behaviour train() had before the
+ * batched backward.
  */
 double trainRankingLoopReference(
-    const std::vector<MeasuredRecord>& records, int epochs, size_t group_cap,
-    Rng& rng,
-    const std::function<std::vector<double>(const std::vector<size_t>&)>&
-        infer_scores,
-    const std::function<void(size_t, double)>& fit_one,
-    const std::function<void()>& on_batch_end);
+    const std::vector<MeasuredRecord>& records, int epochs,
+    std::vector<ParamRef> params, Rng& rng, const SubsetScoreFn& score,
+    const std::function<void(size_t record, double dscore)>& fit_one);
 
 } // namespace pruner

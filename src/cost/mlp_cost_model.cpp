@@ -28,15 +28,21 @@ MlpCostModel::scoreOne(const SubgraphTask& task, const Schedule& sch) const
 }
 
 void
-MlpCostModel::forwardBatch(const Matrix& feats, const SegmentTable& segs,
-                           Workspace& ws, double* out) const
+MlpCostModel::scoreBatch(const Matrix& feats, const SegmentTable& segs,
+                         Workspace& ws, TrainCaches* caches,
+                         double* out) const
 {
-    const Matrix& embedded = embed_.inferBatch(feats, ws);
+    const Matrix& embedded = embed_.forwardBatch(
+        feats, ws, caches != nullptr ? &caches->embed_acts : nullptr);
     Matrix& pooled = ws.alloc(segs.count(), kHidden);
     segmentColSum(embedded, segs, pooled);
-    const Matrix& scores = head_.inferBatch(pooled, ws);
+    const Matrix& scores = head_.forwardBatch(
+        pooled, ws, caches != nullptr ? &caches->head_acts : nullptr);
     for (size_t i = 0; i < segs.count(); ++i) {
         out[i] = scores.at(i, 0);
+    }
+    if (caches != nullptr) {
+        caches->segs = &segs;
     }
 }
 
@@ -52,7 +58,7 @@ MlpCostModel::predictInto(const SubgraphTask& task,
     Matrix& feats = ws.alloc(0, kStatementFeatureDim);
     SegmentTable& segs = ws.allocSegments();
     extractStatementFeaturesBatch(task, candidates, device_, feats, segs);
-    forwardBatch(feats, segs, ws, out);
+    scoreBatch(feats, segs, ws, nullptr, out);
     obs::counterAdd(obs_counters_.infer_batches);
     obs::counterAdd(obs_counters_.infer_candidates, candidates.size());
     obs::counterAdd(obs_counters_.infer_pack_rows, feats.rows());
@@ -81,10 +87,44 @@ MlpCostModel::predictReference(const SubgraphTask& task,
     return scores;
 }
 
-void
-MlpCostModel::fitReference(const Matrix& feats, double dscore)
+MlpCostModel::Memo
+MlpCostModel::memoize(const std::vector<MeasuredRecord>& records) const
 {
-    const Matrix embedded = embed_.forward(feats);
+    Memo memo{Matrix(0, kStatementFeatureDim), {}};
+    SymbolSet sym;
+    for (const auto& rec : records) {
+        extractSymbolsInto(rec.task, rec.sch, sym);
+        const size_t row0 = memo.feats.rows();
+        memo.feats.resize(row0 + sym.statements.size(),
+                          kStatementFeatureDim);
+        writeStatementFeatureRows(sym, rec.task, rec.sch, device_,
+                                  memo.feats, row0);
+        memo.segs.append(sym.statements.size());
+    }
+    return memo;
+}
+
+void
+MlpCostModel::scoreSubset(const Memo& memo,
+                          const std::vector<size_t>& subset, Workspace& ws,
+                          TrainCaches* caches, double* out) const
+{
+    ws.reset();
+    Matrix& feats = ws.alloc(0, kStatementFeatureDim);
+    SegmentTable& segs = ws.allocSegments();
+    for (size_t idx : subset) {
+        feats.appendRows(memo.feats, memo.segs.begin(idx),
+                         memo.segs.rows(idx));
+        segs.append(memo.segs.rows(idx));
+    }
+    scoreBatch(feats, segs, ws, caches, out);
+}
+
+void
+MlpCostModel::fitReference(const Memo& memo, size_t idx, double dscore)
+{
+    const Matrix embedded = embed_.forward(
+        memo.feats.sliceRows(memo.segs.begin(idx), memo.segs.rows(idx)));
     const Matrix pooled = embedded.colSum();
     head_.forward(pooled);
     Matrix dy(1, 1);
@@ -101,29 +141,8 @@ MlpCostModel::fitReference(const Matrix& feats, double dscore)
 }
 
 void
-MlpCostModel::scoreBatch(const Matrix& feats, const SegmentTable& segs,
-                         Workspace& ws, TrainCaches& caches, double* out)
-{
-    const size_t n = segs.count();
-    const Matrix& embedded = embed_.forwardBatch(feats, ws,
-                                                 caches.embed_acts);
-    Matrix& pooled = ws.alloc(n, kHidden);
-    segmentColSum(embedded, segs, pooled);
-    SegmentTable& unit = ws.allocSegments();
-    for (size_t i = 0; i < n; ++i) {
-        unit.append(1); // the head sees one pooled row per record
-    }
-    const Matrix& scores = head_.forwardBatch(pooled, ws, caches.head_acts);
-    for (size_t i = 0; i < n; ++i) {
-        out[i] = scores.at(i, 0);
-    }
-    caches.segs = &segs;
-    caches.unit = &unit;
-}
-
-void
 MlpCostModel::fitBatch(const std::vector<double>& dscores, Workspace& ws,
-                       TrainCaches& caches)
+                       const TrainCaches& caches)
 {
     const size_t n = dscores.size();
     if (n == 0) {
@@ -134,11 +153,12 @@ MlpCostModel::fitBatch(const std::vector<double>& dscores, Workspace& ws,
     // Backward from the scoring pass's activations: one segment-aware
     // pass per module, in the per-record module order (head, then embed).
     Matrix& dy = ws.alloc(n, 1);
+    SegmentTable& unit = ws.allocSegments();
     for (size_t i = 0; i < n; ++i) {
         dy.at(i, 0) = dscores[i];
+        unit.append(1); // the head sees one pooled row per record
     }
-    Matrix* dpooled = head_.backwardBatch(dy, caches.head_acts,
-                                          *caches.unit, ws,
+    Matrix* dpooled = head_.backwardBatch(dy, caches.head_acts, unit, ws,
                                           /*need_dx=*/true);
     Matrix& dembedded = ws.alloc(segs.totalRows(), kHidden);
     segmentBroadcast(*dpooled, 0, kHidden, segs, dembedded, /*mean=*/false);
@@ -152,57 +172,21 @@ MlpCostModel::train(const std::vector<MeasuredRecord>& records, int epochs)
     if (records.size() < 2) {
         return 0.0;
     }
-    std::vector<ParamRef> params = paramRefs();
-    Adam adam(params, 1e-3);
-    adam.zeroGrad();
-
-    // Per-record feature memo: extract once, gather per epoch. The scores
-    // (and so the whole training trajectory) are byte-identical to
-    // re-extracting and scoring one record at a time.
-    Matrix memo(0, kStatementFeatureDim);
-    SegmentTable memo_segs;
-    {
-        SymbolSet sym;
-        for (const auto& rec : records) {
-            extractSymbolsInto(rec.task, rec.sch, sym);
-            const size_t row0 = memo.rows();
-            memo.resize(row0 + sym.statements.size(), kStatementFeatureDim);
-            writeStatementFeatureRows(sym, rec.task, rec.sch, device_, memo,
-                                      row0);
-            memo_segs.append(sym.statements.size());
-        }
-    }
+    const Memo memo = memoize(records);
     Workspace ws;
     TrainCaches caches;
-
-    // The loop calls infer_scores/fit_batch in pairs per group: scoring
-    // runs the caching forward, the fit reuses its activations — the
-    // workspace resets only at the next group's scoring pass.
-    auto infer_scores = [&](const std::vector<size_t>& subset,
-                            std::vector<double>& out) {
-        ws.reset();
-        Matrix& feats = ws.alloc(0, kStatementFeatureDim);
-        SegmentTable& segs = ws.allocSegments();
-        for (size_t idx : subset) {
-            feats.appendRows(memo, memo_segs.begin(idx),
-                             memo_segs.rows(idx));
-            segs.append(memo_segs.rows(idx));
-        }
-        out.resize(subset.size());
-        scoreBatch(feats, segs, ws, caches, out.data());
-    };
-    auto fit_batch = [&](const std::vector<size_t>&,
-                         const std::vector<double>& grads) {
-        fitBatch(grads, ws, caches);
-    };
-    auto on_batch_end = [&]() {
-        adam.clipGradNorm(5.0);
-        adam.step();
-        adam.zeroGrad();
-    };
-    return trainRankingLoop(records, epochs, /*group_cap=*/48, rng_,
-                            infer_scores, fit_batch, on_batch_end,
-                            obs_counters_);
+    // The loop scores and fits in pairs per group: scoring runs the
+    // caching forward, the fit reuses its activations — the workspace
+    // resets only at the next group's scoring pass.
+    return trainRankingLoop(
+        records, epochs, paramRefs(), rng_,
+        [&](const std::vector<size_t>& subset, double* out) {
+            scoreSubset(memo, subset, ws, &caches, out);
+        },
+        [&](const std::vector<double>& dscores) {
+            fitBatch(dscores, ws, caches);
+        },
+        obs_counters_);
 }
 
 double
@@ -212,53 +196,14 @@ MlpCostModel::trainReference(const std::vector<MeasuredRecord>& records,
     if (records.size() < 2) {
         return 0.0;
     }
-    std::vector<ParamRef> params = paramRefs();
-    Adam adam(params, 1e-3);
-    adam.zeroGrad();
-
-    // Frozen pre-batching path: same memo + batched scoring, per-record
-    // fits (exactly the train() of the batched-inference engine era).
-    Matrix memo(0, kStatementFeatureDim);
-    SegmentTable memo_segs;
-    {
-        SymbolSet sym;
-        for (const auto& rec : records) {
-            extractSymbolsInto(rec.task, rec.sch, sym);
-            const size_t row0 = memo.rows();
-            memo.resize(row0 + sym.statements.size(), kStatementFeatureDim);
-            writeStatementFeatureRows(sym, rec.task, rec.sch, device_, memo,
-                                      row0);
-            memo_segs.append(sym.statements.size());
-        }
-    }
+    const Memo memo = memoize(records);
     Workspace ws;
-
-    auto infer_scores = [&](const std::vector<size_t>& subset) {
-        ws.reset();
-        Matrix& feats = ws.alloc(0, kStatementFeatureDim);
-        SegmentTable& segs = ws.allocSegments();
-        for (size_t idx : subset) {
-            feats.appendRows(memo, memo_segs.begin(idx),
-                             memo_segs.rows(idx));
-            segs.append(memo_segs.rows(idx));
-        }
-        std::vector<double> scores(subset.size());
-        forwardBatch(feats, segs, ws, scores.data());
-        return scores;
-    };
-    auto fit_one = [&](size_t idx, double dscore) {
-        fitReference(
-            memo.sliceRows(memo_segs.begin(idx), memo_segs.rows(idx)),
-            dscore);
-    };
-    auto on_batch_end = [&]() {
-        adam.clipGradNorm(5.0);
-        adam.step();
-        adam.zeroGrad();
-    };
-    return trainRankingLoopReference(records, epochs, /*group_cap=*/48,
-                                     rng_, infer_scores, fit_one,
-                                     on_batch_end);
+    return trainRankingLoopReference(
+        records, epochs, paramRefs(), rng_,
+        [&](const std::vector<size_t>& subset, double* out) {
+            scoreSubset(memo, subset, ws, nullptr, out);
+        },
+        [&](size_t idx, double dscore) { fitReference(memo, idx, dscore); });
 }
 
 double

@@ -52,27 +52,40 @@ class MlpCostModel : public CostModel
                      std::span<const Schedule> candidates) const;
 
   private:
+    /** Statement features of every training record, extracted once per
+     *  train() call: record i owns rows [segs.begin(i), +segs.rows(i)). */
+    struct Memo
+    {
+        Matrix feats;
+        SegmentTable segs;
+    };
+
     /** Batched-trainer state carried from scoreBatch to fitBatch: the
-     *  activation caches plus (workspace-owned, pointer-stable) segment
-     *  tables of the pack the scores came from. */
+     *  activation caches plus the (workspace-owned, pointer-stable)
+     *  segment table of the pack the scores came from. */
     struct TrainCaches
     {
         BatchActs embed_acts, head_acts;
         const SegmentTable* segs = nullptr;
-        const SegmentTable* unit = nullptr;
     };
 
     double scoreOne(const SubgraphTask& task, const Schedule& sch) const;
-    /** Pooled batched forward over packed features -> n scores. */
-    void forwardBatch(const Matrix& feats, const SegmentTable& segs,
-                      Workspace& ws, double* out) const;
-    /** Frozen per-record forward+backward (the pre-batching fit). */
-    void fitReference(const Matrix& feats, double dscore);
-    /** The trainer's scoring forward: same bytes as forwardBatch, but
-     *  every layer boundary lands in @p caches so fitBatch can run the
-     *  backward without a second forward over the pack. */
+    /** The model's one batched forward: packed statement features ->
+     *  pooled -> n scores, behind predictInto and both trainers. With
+     *  @p caches every layer boundary lands there so fitBatch can run the
+     *  backward without a second forward; null means inference. */
     void scoreBatch(const Matrix& feats, const SegmentTable& segs,
-                    Workspace& ws, TrainCaches& caches, double* out);
+                    Workspace& ws, TrainCaches* caches, double* out) const;
+    /** Extract every record's features once for a whole train() call;
+     *  the trajectory is byte-identical to re-extracting per record. */
+    Memo memoize(const std::vector<MeasuredRecord>& records) const;
+    /** Gather @p subset's memoised rows into a fresh pack in @p ws (which
+     *  this resets) and score it through scoreBatch. */
+    void scoreSubset(const Memo& memo, const std::vector<size_t>& subset,
+                     Workspace& ws, TrainCaches* caches, double* out) const;
+    /** Frozen per-record forward+backward of memoised record @p idx (the
+     *  pre-batching fit). */
+    void fitReference(const Memo& memo, size_t idx, double dscore);
     /** One segment-aware batched backward from scoreBatch's caches:
      *  byte-identical gradient accumulation to calling fitReference per
      *  record in pack order. Zero-gradient records stay in the pack with
@@ -80,7 +93,7 @@ class MlpCostModel : public CostModel
      *  adds are byte-level no-ops — the same bytes as the reference
      *  loop's skip. */
     void fitBatch(const std::vector<double>& dscores, Workspace& ws,
-                  TrainCaches& caches);
+                  const TrainCaches& caches);
     std::vector<ParamRef> paramRefs();
 
     DeviceSpec device_;

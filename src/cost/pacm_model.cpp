@@ -9,6 +9,20 @@ namespace pruner {
 
 namespace {
 constexpr size_t kHidden = 64;
+
+/** Copy one branch's pooled [n, kHidden] rows into columns
+ *  [col0, col0 + kHidden) of the fused head input. */
+void
+placeBranch(const Matrix& pooled, size_t col0, Matrix& fused)
+{
+    for (size_t i = 0; i < pooled.rows(); ++i) {
+        const double* p = pooled.row(i);
+        double* f = fused.row(i) + col0;
+        for (size_t c = 0; c < kHidden; ++c) {
+            f[c] = p[c];
+        }
+    }
+}
 } // namespace
 
 PaCMModel::PaCMModel(const DeviceSpec& device, uint64_t seed, PaCMConfig cfg)
@@ -52,43 +66,39 @@ PaCMModel::scoreOne(const SubgraphTask& task, const Schedule& sch) const
 }
 
 void
-PaCMModel::forwardBatch(const Matrix& stmt_pack,
-                        const SegmentTable& stmt_segs,
-                        const Matrix& flow_pack,
-                        const SegmentTable& flow_segs, size_t n,
-                        Workspace& ws, double* out) const
+PaCMModel::scoreBatch(const Matrix& stmt_pack,
+                      const SegmentTable& stmt_segs, const Matrix& flow_pack,
+                      const SegmentTable& flow_segs, size_t n,
+                      Workspace& ws, TrainCaches* caches, double* out) const
 {
     Matrix& fused = ws.allocZero(n, 2 * kHidden);
     if (cfg_.use_statement_features) {
         PRUNER_CHECK(stmt_segs.count() == n);
-        const Matrix& embedded = stmt_embed_.inferBatch(stmt_pack, ws);
+        const Matrix& embedded = stmt_embed_.forwardBatch(
+            stmt_pack, ws, caches != nullptr ? &caches->stmt_acts : nullptr);
         Matrix& pooled = ws.alloc(n, kHidden);
         segmentColSum(embedded, stmt_segs, pooled);
-        for (size_t i = 0; i < n; ++i) {
-            const double* p = pooled.row(i);
-            double* f = fused.row(i);
-            for (size_t c = 0; c < kHidden; ++c) {
-                f[c] = p[c];
-            }
-        }
+        placeBranch(pooled, 0, fused);
     }
     if (cfg_.use_dataflow_features) {
         PRUNER_CHECK(flow_segs.count() == n);
-        const Matrix& embedded = flow_embed_.inferBatch(flow_pack, ws);
-        const Matrix& ctx = attn_.inferBatch(embedded, flow_segs, ws);
+        const Matrix& embedded = flow_embed_.forwardBatch(
+            flow_pack, ws, caches != nullptr ? &caches->flow_acts : nullptr);
+        const Matrix& ctx = attn_.forwardBatch(
+            embedded, flow_segs, ws,
+            caches != nullptr ? &caches->attn : nullptr);
         Matrix& pooled = ws.alloc(n, kHidden);
         segmentColMean(ctx, flow_segs, pooled);
-        for (size_t i = 0; i < n; ++i) {
-            const double* p = pooled.row(i);
-            double* f = fused.row(i);
-            for (size_t c = 0; c < kHidden; ++c) {
-                f[kHidden + c] = p[c];
-            }
-        }
+        placeBranch(pooled, kHidden, fused);
     }
-    const Matrix& scores = head_.inferBatch(fused, ws);
+    const Matrix& scores = head_.forwardBatch(
+        fused, ws, caches != nullptr ? &caches->head_acts : nullptr);
     for (size_t i = 0; i < n; ++i) {
         out[i] = scores.at(i, 0);
+    }
+    if (caches != nullptr) {
+        caches->stmt_segs = &stmt_segs;
+        caches->flow_segs = &flow_segs;
     }
 }
 
@@ -134,8 +144,8 @@ PaCMModel::predictInto(const SubgraphTask& task,
                                        seen_blocks);
         }
     }
-    forwardBatch(stmt_pack, stmt_segs, flow_pack, flow_segs,
-                 candidates.size(), ws, out);
+    scoreBatch(stmt_pack, stmt_segs, flow_pack, flow_segs,
+               candidates.size(), ws, nullptr, out);
     obs::counterAdd(obs_counters_.infer_batches);
     obs::counterAdd(obs_counters_.infer_candidates, candidates.size());
     obs::counterAdd(obs_counters_.infer_pack_rows,
@@ -167,14 +177,67 @@ PaCMModel::predictReference(const SubgraphTask& task,
     return scores;
 }
 
+PaCMModel::Memo
+PaCMModel::memoize(const std::vector<MeasuredRecord>& records) const
+{
+    Memo memo{Matrix(0, kStatementFeatureDim), {},
+              Matrix(0, kDataflowFeatureDim)};
+    SymbolSet sym;
+    for (const auto& rec : records) {
+        extractSymbolsInto(rec.task, rec.sch, sym);
+        if (cfg_.use_statement_features) {
+            const size_t row0 = memo.stmt.rows();
+            memo.stmt.resize(row0 + sym.statements.size(),
+                             kStatementFeatureDim);
+            writeStatementFeatureRows(sym, rec.task, rec.sch, device_,
+                                      memo.stmt, row0);
+        }
+        memo.stmt_segs.append(
+            cfg_.use_statement_features ? sym.statements.size() : 0);
+        if (cfg_.use_dataflow_features) {
+            const size_t row0 = memo.flow.rows();
+            memo.flow.resize(row0 + kDataflowSteps, kDataflowFeatureDim);
+            writeDataflowFeatureRows(sym, rec.task, rec.sch, device_,
+                                     memo.flow, row0);
+        }
+    }
+    return memo;
+}
+
 void
-PaCMModel::fitReference(const Matrix& stmt_feats, const Matrix& flow_feats,
-                        double dscore)
+PaCMModel::scoreSubset(const Memo& memo, const std::vector<size_t>& subset,
+                       Workspace& ws, TrainCaches* caches,
+                       double* out) const
+{
+    ws.reset();
+    Matrix& stmt_pack = ws.alloc(0, kStatementFeatureDim);
+    SegmentTable& stmt_segs = ws.allocSegments();
+    Matrix& flow_pack = ws.alloc(0, kDataflowFeatureDim);
+    SegmentTable& flow_segs = ws.allocSegments();
+    for (size_t idx : subset) {
+        if (cfg_.use_statement_features) {
+            stmt_pack.appendRows(memo.stmt, memo.stmt_segs.begin(idx),
+                                 memo.stmt_segs.rows(idx));
+            stmt_segs.append(memo.stmt_segs.rows(idx));
+        }
+        if (cfg_.use_dataflow_features) {
+            flow_pack.appendRows(memo.flow, idx * kDataflowSteps,
+                                 kDataflowSteps);
+            flow_segs.append(kDataflowSteps);
+        }
+    }
+    scoreBatch(stmt_pack, stmt_segs, flow_pack, flow_segs, subset.size(),
+               ws, caches, out);
+}
+
+void
+PaCMModel::fitReference(const Memo& memo, size_t idx, double dscore)
 {
     Matrix fused(1, 2 * kHidden);
     Matrix stmt_embedded;
     if (cfg_.use_statement_features) {
-        stmt_embedded = stmt_embed_.forward(stmt_feats);
+        stmt_embedded = stmt_embed_.forward(memo.stmt.sliceRows(
+            memo.stmt_segs.begin(idx), memo.stmt_segs.rows(idx)));
         const Matrix pooled = stmt_embedded.colSum();
         for (size_t c = 0; c < kHidden; ++c) {
             fused.at(0, c) = pooled.at(0, c);
@@ -182,7 +245,8 @@ PaCMModel::fitReference(const Matrix& stmt_feats, const Matrix& flow_feats,
     }
     Matrix flow_ctx;
     if (cfg_.use_dataflow_features) {
-        flow_ctx = attn_.forward(flow_embed_.forward(flow_feats));
+        flow_ctx = attn_.forward(flow_embed_.forward(
+            memo.flow.sliceRows(idx * kDataflowSteps, kDataflowSteps)));
         const Matrix pooled = flow_ctx.colMean();
         for (size_t c = 0; c < kHidden; ++c) {
             fused.at(0, kHidden + c) = pooled.at(0, c);
@@ -217,60 +281,8 @@ PaCMModel::fitReference(const Matrix& stmt_feats, const Matrix& flow_feats,
 }
 
 void
-PaCMModel::scoreBatch(const Matrix& stmt_pack,
-                      const SegmentTable& stmt_segs, const Matrix& flow_pack,
-                      const SegmentTable& flow_segs, size_t n,
-                      Workspace& ws, TrainCaches& caches, double* out)
-{
-    // Same computation (and bytes) as forwardBatch, with every
-    // intermediate cached for fitBatch.
-    Matrix& fused = ws.allocZero(n, 2 * kHidden);
-    if (cfg_.use_statement_features) {
-        PRUNER_CHECK(stmt_segs.count() == n);
-        const Matrix& embedded =
-            stmt_embed_.forwardBatch(stmt_pack, ws, caches.stmt_acts);
-        Matrix& pooled = ws.alloc(n, kHidden);
-        segmentColSum(embedded, stmt_segs, pooled);
-        for (size_t i = 0; i < n; ++i) {
-            const double* p = pooled.row(i);
-            double* f = fused.row(i);
-            for (size_t c = 0; c < kHidden; ++c) {
-                f[c] = p[c];
-            }
-        }
-    }
-    if (cfg_.use_dataflow_features) {
-        PRUNER_CHECK(flow_segs.count() == n);
-        const Matrix& embedded =
-            flow_embed_.forwardBatch(flow_pack, ws, caches.flow_acts);
-        const Matrix& ctx =
-            attn_.forwardBatch(embedded, flow_segs, ws, caches.attn);
-        Matrix& pooled = ws.alloc(n, kHidden);
-        segmentColMean(ctx, flow_segs, pooled);
-        for (size_t i = 0; i < n; ++i) {
-            const double* p = pooled.row(i);
-            double* f = fused.row(i);
-            for (size_t c = 0; c < kHidden; ++c) {
-                f[kHidden + c] = p[c];
-            }
-        }
-    }
-    SegmentTable& unit = ws.allocSegments();
-    for (size_t i = 0; i < n; ++i) {
-        unit.append(1); // the head sees one fused row per record
-    }
-    const Matrix& scores = head_.forwardBatch(fused, ws, caches.head_acts);
-    for (size_t i = 0; i < n; ++i) {
-        out[i] = scores.at(i, 0);
-    }
-    caches.stmt_segs = &stmt_segs;
-    caches.flow_segs = &flow_segs;
-    caches.unit = &unit;
-}
-
-void
 PaCMModel::fitBatch(const std::vector<double>& dscores, Workspace& ws,
-                    TrainCaches& caches)
+                    const TrainCaches& caches)
 {
     const size_t n = dscores.size();
     if (n == 0) {
@@ -279,11 +291,12 @@ PaCMModel::fitBatch(const std::vector<double>& dscores, Workspace& ws,
     // Backward from the scoring pass's activations, in the per-record
     // module order (head, statement branch, dataflow branch).
     Matrix& dy = ws.alloc(n, 1);
+    SegmentTable& unit = ws.allocSegments();
     for (size_t i = 0; i < n; ++i) {
         dy.at(i, 0) = dscores[i];
+        unit.append(1); // the head sees one fused row per record
     }
-    Matrix* dfused = head_.backwardBatch(dy, caches.head_acts,
-                                         *caches.unit, ws,
+    Matrix* dfused = head_.backwardBatch(dy, caches.head_acts, unit, ws,
                                          /*need_dx=*/true);
     if (cfg_.use_statement_features) {
         const SegmentTable& stmt_segs = *caches.stmt_segs;
@@ -314,79 +327,20 @@ PaCMModel::train(const std::vector<MeasuredRecord>& records, int epochs)
     if (records.size() < 2) {
         return 0.0;
     }
-    std::vector<ParamRef> params = paramRefs();
-    Adam adam(params, 1e-3);
-    adam.zeroGrad();
-
-    // Per-record feature memo shared by every epoch's scoring and fitting:
-    // one symbol extraction per record for both branches, instead of two
-    // extractions per record per epoch.
-    Matrix stmt_memo(0, kStatementFeatureDim);
-    SegmentTable stmt_segs;
-    Matrix flow_memo(0, kDataflowFeatureDim);
-    {
-        SymbolSet sym;
-        for (const auto& rec : records) {
-            extractSymbolsInto(rec.task, rec.sch, sym);
-            if (cfg_.use_statement_features) {
-                const size_t row0 = stmt_memo.rows();
-                stmt_memo.resize(row0 + sym.statements.size(),
-                                 kStatementFeatureDim);
-                writeStatementFeatureRows(sym, rec.task, rec.sch, device_,
-                                          stmt_memo, row0);
-            }
-            stmt_segs.append(cfg_.use_statement_features
-                                 ? sym.statements.size()
-                                 : 0);
-            if (cfg_.use_dataflow_features) {
-                const size_t row0 = flow_memo.rows();
-                flow_memo.resize(row0 + kDataflowSteps,
-                                 kDataflowFeatureDim);
-                writeDataflowFeatureRows(sym, rec.task, rec.sch, device_,
-                                         flow_memo, row0);
-            }
-        }
-    }
+    const Memo memo = memoize(records);
     Workspace ws;
     TrainCaches caches;
-
     // Scoring runs the caching forward; the fit reuses its activations
     // (the workspace resets only at the next group's scoring pass).
-    auto infer_scores = [&](const std::vector<size_t>& subset,
-                            std::vector<double>& out) {
-        ws.reset();
-        Matrix& stmt_pack = ws.alloc(0, kStatementFeatureDim);
-        SegmentTable& spack_segs = ws.allocSegments();
-        Matrix& flow_pack = ws.alloc(0, kDataflowFeatureDim);
-        SegmentTable& fpack_segs = ws.allocSegments();
-        for (size_t idx : subset) {
-            if (cfg_.use_statement_features) {
-                stmt_pack.appendRows(stmt_memo, stmt_segs.begin(idx),
-                                     stmt_segs.rows(idx));
-                spack_segs.append(stmt_segs.rows(idx));
-            }
-            if (cfg_.use_dataflow_features) {
-                flow_pack.appendRows(flow_memo, idx * kDataflowSteps,
-                                     kDataflowSteps);
-                fpack_segs.append(kDataflowSteps);
-            }
-        }
-        out.resize(subset.size());
-        scoreBatch(stmt_pack, spack_segs, flow_pack, fpack_segs,
-                   subset.size(), ws, caches, out.data());
-    };
-    auto fit_batch = [&](const std::vector<size_t>&,
-                         const std::vector<double>& grads) {
-        fitBatch(grads, ws, caches);
-    };
-    auto on_batch_end = [&]() {
-        adam.clipGradNorm(5.0);
-        adam.step();
-        adam.zeroGrad();
-    };
-    return trainRankingLoop(records, epochs, /*group_cap=*/48, rng_,
-                            infer_scores, fit_batch, on_batch_end,
-                            obs_counters_);
+    return trainRankingLoop(
+        records, epochs, paramRefs(), rng_,
+        [&](const std::vector<size_t>& subset, double* out) {
+            scoreSubset(memo, subset, ws, &caches, out);
+        },
+        [&](const std::vector<double>& dscores) {
+            fitBatch(dscores, ws, caches);
+        },
+        obs_counters_);
 }
 
 double
@@ -396,83 +350,14 @@ PaCMModel::trainReference(const std::vector<MeasuredRecord>& records,
     if (records.size() < 2) {
         return 0.0;
     }
-    std::vector<ParamRef> params = paramRefs();
-    Adam adam(params, 1e-3);
-    adam.zeroGrad();
-
-    // Frozen pre-batching path: same memo + batched scoring, per-record
-    // fits (exactly the train() of the batched-inference engine era).
-    Matrix stmt_memo(0, kStatementFeatureDim);
-    SegmentTable stmt_segs;
-    Matrix flow_memo(0, kDataflowFeatureDim);
-    {
-        SymbolSet sym;
-        for (const auto& rec : records) {
-            extractSymbolsInto(rec.task, rec.sch, sym);
-            if (cfg_.use_statement_features) {
-                const size_t row0 = stmt_memo.rows();
-                stmt_memo.resize(row0 + sym.statements.size(),
-                                 kStatementFeatureDim);
-                writeStatementFeatureRows(sym, rec.task, rec.sch, device_,
-                                          stmt_memo, row0);
-            }
-            stmt_segs.append(cfg_.use_statement_features
-                                 ? sym.statements.size()
-                                 : 0);
-            if (cfg_.use_dataflow_features) {
-                const size_t row0 = flow_memo.rows();
-                flow_memo.resize(row0 + kDataflowSteps,
-                                 kDataflowFeatureDim);
-                writeDataflowFeatureRows(sym, rec.task, rec.sch, device_,
-                                         flow_memo, row0);
-            }
-        }
-    }
+    const Memo memo = memoize(records);
     Workspace ws;
-
-    auto infer_scores = [&](const std::vector<size_t>& subset) {
-        ws.reset();
-        Matrix& stmt_pack = ws.alloc(0, kStatementFeatureDim);
-        SegmentTable& spack_segs = ws.allocSegments();
-        Matrix& flow_pack = ws.alloc(0, kDataflowFeatureDim);
-        SegmentTable& fpack_segs = ws.allocSegments();
-        for (size_t idx : subset) {
-            if (cfg_.use_statement_features) {
-                stmt_pack.appendRows(stmt_memo, stmt_segs.begin(idx),
-                                     stmt_segs.rows(idx));
-                spack_segs.append(stmt_segs.rows(idx));
-            }
-            if (cfg_.use_dataflow_features) {
-                flow_pack.appendRows(flow_memo, idx * kDataflowSteps,
-                                     kDataflowSteps);
-                fpack_segs.append(kDataflowSteps);
-            }
-        }
-        std::vector<double> scores(subset.size());
-        forwardBatch(stmt_pack, spack_segs, flow_pack, fpack_segs,
-                     subset.size(), ws, scores.data());
-        return scores;
-    };
-    auto fit_one = [&](size_t idx, double dscore) {
-        const Matrix stmt_feats =
-            cfg_.use_statement_features
-                ? stmt_memo.sliceRows(stmt_segs.begin(idx),
-                                      stmt_segs.rows(idx))
-                : Matrix();
-        const Matrix flow_feats =
-            cfg_.use_dataflow_features
-                ? flow_memo.sliceRows(idx * kDataflowSteps, kDataflowSteps)
-                : Matrix();
-        fitReference(stmt_feats, flow_feats, dscore);
-    };
-    auto on_batch_end = [&]() {
-        adam.clipGradNorm(5.0);
-        adam.step();
-        adam.zeroGrad();
-    };
-    return trainRankingLoopReference(records, epochs, /*group_cap=*/48,
-                                     rng_, infer_scores, fit_one,
-                                     on_batch_end);
+    return trainRankingLoopReference(
+        records, epochs, paramRefs(), rng_,
+        [&](const std::vector<size_t>& subset, double* out) {
+            scoreSubset(memo, subset, ws, nullptr, out);
+        },
+        [&](size_t idx, double dscore) { fitReference(memo, idx, dscore); });
 }
 
 double

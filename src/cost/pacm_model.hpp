@@ -73,6 +73,19 @@ class PaCMModel : public CostModel
     const PaCMConfig& config() const { return cfg_; }
 
   private:
+    /** Both branches' features of every training record, from one symbol
+     *  extraction per record per train() call. Record i owns statement
+     *  rows [stmt_segs.begin(i), +stmt_segs.rows(i)) (zero rows without
+     *  the statement branch) and dataflow rows
+     *  [i * kDataflowSteps, +kDataflowSteps) (none without the dataflow
+     *  branch). */
+    struct Memo
+    {
+        Matrix stmt;
+        SegmentTable stmt_segs;
+        Matrix flow;
+    };
+
     /** Batched-trainer state carried from scoreBatch to fitBatch (see
      *  MlpCostModel::TrainCaches). */
     struct TrainCaches
@@ -81,31 +94,35 @@ class PaCMModel : public CostModel
         AttentionBatchCache attn;
         const SegmentTable* stmt_segs = nullptr;
         const SegmentTable* flow_segs = nullptr;
-        const SegmentTable* unit = nullptr;
     };
 
     double scoreOne(const SubgraphTask& task, const Schedule& sch) const;
-    /** Frozen per-record forward+backward from memoised features (the
-     *  pre-batching fit). */
-    void fitReference(const Matrix& stmt_feats, const Matrix& flow_feats,
-                      double dscore);
-    /** The trainer's scoring forward: same bytes as forwardBatch, with
-     *  both branches' intermediates cached for fitBatch. */
+    /** The model's one batched forward over both branches' packed
+     *  features -> n scores, behind predictInto and both trainers. With
+     *  @p caches both branches' intermediates land there for fitBatch;
+     *  null means inference, where @p flow_segs may alias duplicate
+     *  dataflow blocks. */
     void scoreBatch(const Matrix& stmt_pack, const SegmentTable& stmt_segs,
                     const Matrix& flow_pack, const SegmentTable& flow_segs,
-                    size_t n, Workspace& ws, TrainCaches& caches,
-                    double* out);
+                    size_t n, Workspace& ws, TrainCaches* caches,
+                    double* out) const;
+    /** Extract every record's features once for a whole train() call;
+     *  the trajectory is byte-identical to re-extracting per record. */
+    Memo memoize(const std::vector<MeasuredRecord>& records) const;
+    /** Gather @p subset's memoised rows into fresh contiguous packs in
+     *  @p ws (which this resets) and score them through scoreBatch. */
+    void scoreSubset(const Memo& memo, const std::vector<size_t>& subset,
+                     Workspace& ws, TrainCaches* caches, double* out) const;
+    /** Frozen per-record forward+backward of memoised record @p idx (the
+     *  pre-batching fit). */
+    void fitReference(const Memo& memo, size_t idx, double dscore);
     /** Segment-aware batched backward from scoreBatch's caches:
      *  byte-identical gradient accumulation to calling fitReference per
      *  record in pack order (zero-gradient records' zero dy rows make
      *  exactly-+0 partials — byte-level no-ops, same as the reference
      *  loop's skip). */
     void fitBatch(const std::vector<double>& dscores, Workspace& ws,
-                  TrainCaches& caches);
-    /** Pooled batched forward over both branches' packed features. */
-    void forwardBatch(const Matrix& stmt_pack, const SegmentTable& stmt_segs,
-                      const Matrix& flow_pack, const SegmentTable& flow_segs,
-                      size_t n, Workspace& ws, double* out) const;
+                  const TrainCaches& caches);
     std::vector<ParamRef> paramRefs();
 
     DeviceSpec device_;

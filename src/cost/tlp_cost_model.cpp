@@ -28,16 +28,23 @@ TlpCostModel::scoreOne(const SubgraphTask& task, const Schedule& sch) const
 }
 
 void
-TlpCostModel::forwardBatch(const Matrix& feats, const SegmentTable& segs,
-                           Workspace& ws, double* out) const
+TlpCostModel::scoreBatch(const Matrix& feats, const SegmentTable& segs,
+                         Workspace& ws, TrainCaches* caches,
+                         double* out) const
 {
-    const Matrix& embedded = embed_.inferBatch(feats, ws);
-    const Matrix& ctx = attn_.inferBatch(embedded, segs, ws);
+    const Matrix& embedded = embed_.forwardBatch(
+        feats, ws, caches != nullptr ? &caches->embed_acts : nullptr);
+    const Matrix& ctx = attn_.forwardBatch(
+        embedded, segs, ws, caches != nullptr ? &caches->attn : nullptr);
     Matrix& pooled = ws.alloc(segs.count(), kHidden);
     segmentColMean(ctx, segs, pooled);
-    const Matrix& scores = head_.inferBatch(pooled, ws);
+    const Matrix& scores = head_.forwardBatch(
+        pooled, ws, caches != nullptr ? &caches->head_acts : nullptr);
     for (size_t i = 0; i < segs.count(); ++i) {
         out[i] = scores.at(i, 0);
+    }
+    if (caches != nullptr) {
+        caches->segs = &segs;
     }
 }
 
@@ -53,7 +60,7 @@ TlpCostModel::predictInto(const SubgraphTask& task,
     Matrix& feats = ws.alloc(0, kPrimitiveFeatureDim);
     SegmentTable& segs = ws.allocSegments();
     extractPrimitiveFeaturesBatch(task, candidates, feats, segs);
-    forwardBatch(feats, segs, ws, out);
+    scoreBatch(feats, segs, ws, nullptr, out);
     obs::counterAdd(obs_counters_.infer_batches);
     obs::counterAdd(obs_counters_.infer_candidates, candidates.size());
     obs::counterAdd(obs_counters_.infer_pack_rows, feats.rows());
@@ -82,10 +89,39 @@ TlpCostModel::predictReference(const SubgraphTask& task,
     return scores;
 }
 
-void
-TlpCostModel::fitReference(const Matrix& feats, double dscore)
+Matrix
+TlpCostModel::memoize(const std::vector<MeasuredRecord>& records) const
 {
-    const Matrix h = attn_.forward(embed_.forward(feats));
+    Matrix memo(0, kPrimitiveFeatureDim);
+    std::vector<SchedulePrimitive> scratch;
+    for (const auto& rec : records) {
+        const size_t row0 = memo.rows();
+        memo.resize(row0 + kPrimitiveSteps, kPrimitiveFeatureDim);
+        writePrimitiveFeatureRows(rec.task, rec.sch, memo, row0, scratch);
+    }
+    return memo;
+}
+
+void
+TlpCostModel::scoreSubset(const Matrix& memo,
+                          const std::vector<size_t>& subset, Workspace& ws,
+                          TrainCaches* caches, double* out) const
+{
+    ws.reset();
+    Matrix& feats = ws.alloc(0, kPrimitiveFeatureDim);
+    SegmentTable& segs = ws.allocSegments();
+    for (size_t idx : subset) {
+        feats.appendRows(memo, idx * kPrimitiveSteps, kPrimitiveSteps);
+        segs.append(kPrimitiveSteps);
+    }
+    scoreBatch(feats, segs, ws, caches, out);
+}
+
+void
+TlpCostModel::fitReference(const Matrix& memo, size_t idx, double dscore)
+{
+    const Matrix h = attn_.forward(embed_.forward(
+        memo.sliceRows(idx * kPrimitiveSteps, kPrimitiveSteps)));
     const Matrix pooled = h.colMean();
     head_.forward(pooled);
 
@@ -103,30 +139,8 @@ TlpCostModel::fitReference(const Matrix& feats, double dscore)
 }
 
 void
-TlpCostModel::scoreBatch(const Matrix& feats, const SegmentTable& segs,
-                         Workspace& ws, TrainCaches& caches, double* out)
-{
-    const size_t n = segs.count();
-    const Matrix& embedded = embed_.forwardBatch(feats, ws,
-                                                 caches.embed_acts);
-    const Matrix& ctx = attn_.forwardBatch(embedded, segs, ws, caches.attn);
-    Matrix& pooled = ws.alloc(n, kHidden);
-    segmentColMean(ctx, segs, pooled);
-    SegmentTable& unit = ws.allocSegments();
-    for (size_t i = 0; i < n; ++i) {
-        unit.append(1); // the head sees one pooled row per record
-    }
-    const Matrix& scores = head_.forwardBatch(pooled, ws, caches.head_acts);
-    for (size_t i = 0; i < n; ++i) {
-        out[i] = scores.at(i, 0);
-    }
-    caches.segs = &segs;
-    caches.unit = &unit;
-}
-
-void
 TlpCostModel::fitBatch(const std::vector<double>& dscores, Workspace& ws,
-                       TrainCaches& caches)
+                       const TrainCaches& caches)
 {
     const size_t n = dscores.size();
     if (n == 0) {
@@ -137,11 +151,12 @@ TlpCostModel::fitBatch(const std::vector<double>& dscores, Workspace& ws,
     // Backward from the scoring pass's activations, in the per-record
     // module order (head, attention, embed).
     Matrix& dy = ws.alloc(n, 1);
+    SegmentTable& unit = ws.allocSegments();
     for (size_t i = 0; i < n; ++i) {
         dy.at(i, 0) = dscores[i];
+        unit.append(1); // the head sees one pooled row per record
     }
-    Matrix* dpooled = head_.backwardBatch(dy, caches.head_acts,
-                                          *caches.unit, ws,
+    Matrix* dpooled = head_.backwardBatch(dy, caches.head_acts, unit, ws,
                                           /*need_dx=*/true);
     Matrix& dh = ws.alloc(segs.totalRows(), kHidden);
     segmentBroadcast(*dpooled, 0, kHidden, segs, dh, /*mean=*/true);
@@ -157,51 +172,20 @@ TlpCostModel::train(const std::vector<MeasuredRecord>& records, int epochs)
     if (records.size() < 2) {
         return 0.0;
     }
-    std::vector<ParamRef> params = paramRefs();
-    Adam adam(params, 1e-3);
-    adam.zeroGrad();
-
-    // Per-record feature memo: one primitive-sequence encoding per record
-    // for the whole training run.
-    Matrix memo(0, kPrimitiveFeatureDim);
-    {
-        std::vector<SchedulePrimitive> scratch;
-        for (const auto& rec : records) {
-            const size_t row0 = memo.rows();
-            memo.resize(row0 + kPrimitiveSteps, kPrimitiveFeatureDim);
-            writePrimitiveFeatureRows(rec.task, rec.sch, memo, row0,
-                                      scratch);
-        }
-    }
+    const Matrix memo = memoize(records);
     Workspace ws;
     TrainCaches caches;
-
     // Scoring runs the caching forward; the fit reuses its activations
     // (the workspace resets only at the next group's scoring pass).
-    auto infer_scores = [&](const std::vector<size_t>& subset,
-                            std::vector<double>& out) {
-        ws.reset();
-        Matrix& feats = ws.alloc(0, kPrimitiveFeatureDim);
-        SegmentTable& segs = ws.allocSegments();
-        for (size_t idx : subset) {
-            feats.appendRows(memo, idx * kPrimitiveSteps, kPrimitiveSteps);
-            segs.append(kPrimitiveSteps);
-        }
-        out.resize(subset.size());
-        scoreBatch(feats, segs, ws, caches, out.data());
-    };
-    auto fit_batch = [&](const std::vector<size_t>&,
-                         const std::vector<double>& grads) {
-        fitBatch(grads, ws, caches);
-    };
-    auto on_batch_end = [&]() {
-        adam.clipGradNorm(5.0);
-        adam.step();
-        adam.zeroGrad();
-    };
-    return trainRankingLoop(records, epochs, /*group_cap=*/48, rng_,
-                            infer_scores, fit_batch, on_batch_end,
-                            obs_counters_);
+    return trainRankingLoop(
+        records, epochs, paramRefs(), rng_,
+        [&](const std::vector<size_t>& subset, double* out) {
+            scoreSubset(memo, subset, ws, &caches, out);
+        },
+        [&](const std::vector<double>& dscores) {
+            fitBatch(dscores, ws, caches);
+        },
+        obs_counters_);
 }
 
 double
@@ -211,48 +195,14 @@ TlpCostModel::trainReference(const std::vector<MeasuredRecord>& records,
     if (records.size() < 2) {
         return 0.0;
     }
-    std::vector<ParamRef> params = paramRefs();
-    Adam adam(params, 1e-3);
-    adam.zeroGrad();
-
-    // Frozen pre-batching path: same memo + batched scoring, per-record
-    // fits (exactly the train() of the batched-inference engine era).
-    Matrix memo(0, kPrimitiveFeatureDim);
-    {
-        std::vector<SchedulePrimitive> scratch;
-        for (const auto& rec : records) {
-            const size_t row0 = memo.rows();
-            memo.resize(row0 + kPrimitiveSteps, kPrimitiveFeatureDim);
-            writePrimitiveFeatureRows(rec.task, rec.sch, memo, row0,
-                                      scratch);
-        }
-    }
+    const Matrix memo = memoize(records);
     Workspace ws;
-
-    auto infer_scores = [&](const std::vector<size_t>& subset) {
-        ws.reset();
-        Matrix& feats = ws.alloc(0, kPrimitiveFeatureDim);
-        SegmentTable& segs = ws.allocSegments();
-        for (size_t idx : subset) {
-            feats.appendRows(memo, idx * kPrimitiveSteps, kPrimitiveSteps);
-            segs.append(kPrimitiveSteps);
-        }
-        std::vector<double> scores(subset.size());
-        forwardBatch(feats, segs, ws, scores.data());
-        return scores;
-    };
-    auto fit_one = [&](size_t idx, double dscore) {
-        fitReference(
-            memo.sliceRows(idx * kPrimitiveSteps, kPrimitiveSteps), dscore);
-    };
-    auto on_batch_end = [&]() {
-        adam.clipGradNorm(5.0);
-        adam.step();
-        adam.zeroGrad();
-    };
-    return trainRankingLoopReference(records, epochs, /*group_cap=*/48,
-                                     rng_, infer_scores, fit_one,
-                                     on_batch_end);
+    return trainRankingLoopReference(
+        records, epochs, paramRefs(), rng_,
+        [&](const std::vector<size_t>& subset, double* out) {
+            scoreSubset(memo, subset, ws, nullptr, out);
+        },
+        [&](size_t idx, double dscore) { fitReference(memo, idx, dscore); });
 }
 
 double

@@ -65,26 +65,32 @@ class TlpCostModel : public CostModel
         BatchActs embed_acts, head_acts;
         AttentionBatchCache attn;
         const SegmentTable* segs = nullptr;
-        const SegmentTable* unit = nullptr;
     };
 
     double scoreOne(const SubgraphTask& task, const Schedule& sch) const;
-    /** Frozen per-record forward+backward (the pre-batching fit). */
-    void fitReference(const Matrix& feats, double dscore);
-    /** The trainer's scoring forward: same bytes as forwardBatch, with
-     *  every intermediate cached for fitBatch. */
+    /** The model's one batched forward: packed primitive rows -> embed ->
+     *  attention -> mean pool -> n scores, behind predictInto and both
+     *  trainers. With @p caches every intermediate lands there for
+     *  fitBatch; null means inference. */
     void scoreBatch(const Matrix& feats, const SegmentTable& segs,
-                    Workspace& ws, TrainCaches& caches, double* out);
+                    Workspace& ws, TrainCaches* caches, double* out) const;
+    /** Encode every record's primitive sequence once for a whole train()
+     *  call: record i owns rows [i * kPrimitiveSteps, +kPrimitiveSteps). */
+    Matrix memoize(const std::vector<MeasuredRecord>& records) const;
+    /** Gather @p subset's memoised rows into a fresh pack in @p ws (which
+     *  this resets) and score it through scoreBatch. */
+    void scoreSubset(const Matrix& memo, const std::vector<size_t>& subset,
+                     Workspace& ws, TrainCaches* caches, double* out) const;
+    /** Frozen per-record forward+backward of memoised record @p idx (the
+     *  pre-batching fit). */
+    void fitReference(const Matrix& memo, size_t idx, double dscore);
     /** Segment-aware batched backward from scoreBatch's caches:
      *  byte-identical gradient accumulation to calling fitReference per
      *  record in pack order (zero-gradient records' zero dy rows make
      *  exactly-+0 partials — byte-level no-ops, same as the reference
      *  loop's skip). */
     void fitBatch(const std::vector<double>& dscores, Workspace& ws,
-                  TrainCaches& caches);
-    /** Pooled batched forward over packed primitive rows -> n scores. */
-    void forwardBatch(const Matrix& feats, const SegmentTable& segs,
-                      Workspace& ws, double* out) const;
+                  const TrainCaches& caches);
     std::vector<ParamRef> paramRefs();
 
     DeviceSpec device_;

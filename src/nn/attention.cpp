@@ -53,8 +53,8 @@ SelfAttention::inferReference(const Matrix& x) const
 }
 
 const Matrix&
-SelfAttention::inferBatch(const Matrix& x, const SegmentTable& segs,
-                          Workspace& ws) const
+SelfAttention::forwardBatch(const Matrix& x, const SegmentTable& segs,
+                            Workspace& ws, AttentionBatchCache* cache) const
 {
     PRUNER_CHECK(x.cols() == dim_);
     PRUNER_CHECK(segs.totalRows() == x.rows());
@@ -65,69 +65,39 @@ SelfAttention::inferBatch(const Matrix& x, const SegmentTable& segs,
     wk_.inferInto(x, k);
     wv_.inferInto(x, v);
 
+    // Softmax blocks: back to back in one flat buffer when caching for the
+    // backward, else one [T, T] block reused segment after segment. The
+    // flat buffer is allocated at its final shape, so its stale contents
+    // are overwritten block by block rather than zeroed first.
+    size_t total = 0;
+    if (cache != nullptr) {
+        cache->attn_off.resize(segs.count());
+        for (size_t s = 0; s < segs.count(); ++s) {
+            cache->attn_off[s] = total;
+            total += segs.rows(s) * segs.rows(s);
+        }
+    }
+    Matrix& attn = ws.alloc(cache != nullptr ? 1 : 0, total);
     Matrix& ctx = ws.alloc(x.rows(), dim_);
-    Matrix& attn = ws.alloc(0, 0);
     const double inv_sqrt_d = 1.0 / std::sqrt(static_cast<double>(dim_));
     size_t done = 0; // pack rows already attended (aliased blocks skip)
     for (size_t s = 0; s < segs.count(); ++s) {
         const size_t b = segs.begin(s);
         const size_t t = segs.rows(s);
-        if (t == 0) {
+        if (t == 0 || b + t <= done) {
+            // Empty, or aliased: an aliased segment's rows are an earlier
+            // segment's block, whose ctx rows this loop already wrote
+            // (identical inputs, identical outputs).
             continue;
         }
-        if (b + t <= done) {
-            // Aliased segment: its rows are an earlier segment's block,
-            // whose ctx rows this loop already wrote (identical inputs,
-            // identical outputs — recomputing would be a byte-level
-            // no-op).
-            continue;
+        if (cache == nullptr) {
+            attn.resize(t, t);
         }
+        double* ablock =
+            attn.row(0) + (cache != nullptr ? cache->attn_off[s] : 0);
         // Q K^T off the row-major K pack (nnkernel::matmulNT): C[i][j]
         // accumulates Q[i][kk] * K[j][kk] over ascending kk, the
         // reference path's exact core.
-        attn.resize(t, t);
-        nnkernel::matmulNT(q.row(b), t, dim_, dim_, k.row(b), t, dim_,
-                           attn.row(0), t);
-        attn.scale(inv_sqrt_d);
-        attn.softmaxRows();
-        nnkernel::matmul(attn.row(0), t, t, t, v.row(b), dim_, dim_,
-                         ctx.row(b), dim_);
-        done = b + t;
-    }
-    Matrix& out = ws.alloc(x.rows(), dim_);
-    wo_.inferInto(ctx, out);
-    return out;
-}
-
-const Matrix&
-SelfAttention::forwardBatch(const Matrix& x, const SegmentTable& segs,
-                            Workspace& ws, AttentionBatchCache& cache) const
-{
-    PRUNER_CHECK(x.cols() == dim_);
-    PRUNER_CHECK(segs.totalRows() == x.rows());
-    Matrix& q = ws.alloc(x.rows(), dim_);
-    Matrix& k = ws.alloc(x.rows(), dim_);
-    Matrix& v = ws.alloc(x.rows(), dim_);
-    wq_.inferInto(x, q);
-    wk_.inferInto(x, k);
-    wv_.inferInto(x, v);
-
-    cache.attn_off.resize(segs.count());
-    size_t total = 0;
-    for (size_t s = 0; s < segs.count(); ++s) {
-        cache.attn_off[s] = total;
-        total += segs.rows(s) * segs.rows(s);
-    }
-    Matrix& attn_flat = ws.alloc(1, total);
-    Matrix& ctx = ws.alloc(x.rows(), dim_);
-    const double inv_sqrt_d = 1.0 / std::sqrt(static_cast<double>(dim_));
-    for (size_t s = 0; s < segs.count(); ++s) {
-        const size_t b = segs.begin(s);
-        const size_t t = segs.rows(s);
-        if (t == 0) {
-            continue;
-        }
-        double* ablock = attn_flat.row(0) + cache.attn_off[s];
         nnkernel::matmulNT(q.row(b), t, dim_, dim_, k.row(b), t, dim_,
                            ablock, t);
         for (size_t e = 0; e < t * t; ++e) {
@@ -136,15 +106,18 @@ SelfAttention::forwardBatch(const Matrix& x, const SegmentTable& segs,
         nnkernel::softmaxRows(ablock, t, t);
         nnkernel::matmul(ablock, t, t, t, v.row(b), dim_, dim_, ctx.row(b),
                          dim_);
+        done = b + t;
     }
     Matrix& out = ws.alloc(x.rows(), dim_);
     wo_.inferInto(ctx, out);
-    cache.x = &x;
-    cache.q = &q;
-    cache.k = &k;
-    cache.v = &v;
-    cache.ctx = &ctx;
-    cache.attn = &attn_flat;
+    if (cache != nullptr) {
+        cache->x = &x;
+        cache->q = &q;
+        cache->k = &k;
+        cache->v = &v;
+        cache->ctx = &ctx;
+        cache->attn = &attn;
+    }
     return out;
 }
 

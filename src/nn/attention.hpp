@@ -43,31 +43,32 @@ class SelfAttention
     /** Forward for one sequence x: [T, dim]; caches for backward. */
     Matrix forward(const Matrix& x);
 
+    /** Frozen pre-batching forward on the naive golden kernels (see
+     *  Linear::inferReference). */
+    Matrix inferReference(const Matrix& x) const;
+
     /**
-     * Batched inference over @p segs.count() sequences packed row-wise in
+     * Batched forward over @p segs.count() sequences packed row-wise in
      * @p x: the Q/K/V/output projections each run as one GEMM over the
      * whole pack, and only the [T, T] attention core runs per segment
      * (attention must not leak across candidates, so the scores matrix is
      * block-diagonal by construction). Intermediates come from @p ws; each
      * segment's output rows are byte-identical to inferReference() on that
      * segment alone. Returns a workspace-owned [x.rows, dim] matrix.
-     */
-    const Matrix& inferBatch(const Matrix& x, const SegmentTable& segs,
-                             Workspace& ws) const;
-
-    /** Frozen pre-batching forward on the naive golden kernels (see
-     *  Linear::inferReference). */
-    Matrix inferReference(const Matrix& x) const;
-
-    /**
-     * Batched training forward: identical computation (and bytes) to
-     * inferBatch, additionally caching the projection packs and the
-     * per-segment softmax blocks in @p cache for backwardBatch. Returns
-     * the ws-owned output pack.
+     *
+     * The one forward for inference and training. With @p cache, the
+     * projection packs and every segment's softmax block are kept there
+     * for backwardBatch; null means inference, which reuses one [T, T]
+     * block for every segment. A segment that aliases an earlier
+     * segment's rows (SegmentTable::appendAlias) is skipped: its output
+     * rows were already written, and recomputing them would be a
+     * byte-level no-op. The skip never fires on a contiguous table.
+     * Aliased tables are inference-only: an aliased segment's softmax
+     * block is never written, and backwardBatch rejects the table.
      */
     const Matrix& forwardBatch(const Matrix& x, const SegmentTable& segs,
                                Workspace& ws,
-                               AttentionBatchCache& cache) const;
+                               AttentionBatchCache* cache = nullptr) const;
 
     /**
      * Segment-aware batched backward: the four projections' dW/db
@@ -76,8 +77,9 @@ class SelfAttention
      * GEMM over the pack; only the [T, T] attention-core backward runs
      * per segment, exactly like the forward. Byte-identical parameter
      * gradients to per-record forward()+backward() over the segments in
-     * pack order. Returns ws-owned dL/dx, or nullptr when @p need_dx is
-     * false.
+     * pack order. @p segs must be the contiguous table @p cache was
+     * filled over; an aliased table throws InternalError. Returns
+     * ws-owned dL/dx, or nullptr when @p need_dx is false.
      */
     Matrix* backwardBatch(const Matrix& dy, const AttentionBatchCache& cache,
                           const SegmentTable& segs, Workspace& ws,

@@ -221,29 +221,19 @@ Mlp::inferReference(const Matrix& x) const
 }
 
 const Matrix&
-Mlp::inferBatch(const Matrix& x, Workspace& ws) const
+Mlp::forwardBatch(const Matrix& x, Workspace& ws, BatchActs* acts) const
 {
     PRUNER_CHECK(!linears_.empty());
-    const Matrix* h = &x;
-    for (size_t i = 0; i < linears_.size(); ++i) {
-        Matrix& y = ws.alloc(h->rows(), linears_[i].outDim());
-        linears_[i].inferInto(*h, y, /*relu_after=*/i < relus_.size());
-        h = &y;
+    if (acts != nullptr) {
+        acts->assign(1, &x);
     }
-    return *h;
-}
-
-const Matrix&
-Mlp::forwardBatch(const Matrix& x, Workspace& ws, BatchActs& acts) const
-{
-    PRUNER_CHECK(!linears_.empty());
-    acts.clear();
-    acts.push_back(&x);
     const Matrix* h = &x;
     for (size_t i = 0; i < linears_.size(); ++i) {
         Matrix& y = ws.alloc(h->rows(), linears_[i].outDim());
         linears_[i].inferInto(*h, y, /*relu_after=*/i < relus_.size());
-        acts.push_back(&y);
+        if (acts != nullptr) {
+            acts->push_back(&y);
+        }
         h = &y;
     }
     return *h;

@@ -113,29 +113,26 @@ class Mlp
 
     Matrix forward(const Matrix& x);
 
-    /**
-     * Batched inference over a packed row matrix: every layer is one GEMM
-     * over all rows, with intermediates drawn from @p ws (zero heap
-     * allocations once the workspace is warm). Each output row is
-     * byte-identical to inferReference() on that row alone — every
-     * row-level op is row-independent with an unchanged accumulation
-     * order. Returns a workspace-owned matrix, valid until the next
-     * ws.reset().
-     */
-    const Matrix& inferBatch(const Matrix& x, Workspace& ws) const;
-
     /** Frozen pre-batching forward on the naive golden kernel (see
      *  Linear::inferReference). */
     Matrix inferReference(const Matrix& x) const;
 
     /**
-     * Batched training forward: identical computation (and bytes) to
-     * inferBatch, but records every layer boundary in @p acts for
-     * backwardBatch. No module-level caching — reentrant across
-     * workspaces; keep @p acts and @p ws alive until the backward runs.
+     * Batched forward over a packed row matrix: every layer is one GEMM
+     * over all rows, with intermediates drawn from @p ws (zero heap
+     * allocations once the workspace is warm). Each output row is
+     * byte-identical to inferReference() on that row alone — every
+     * row-level op is row-independent with an unchanged accumulation
+     * order, so a pack deduplicated through an aliased SegmentTable
+     * scores the same. The one forward for inference and training: with
+     * @p acts, every layer boundary is recorded there for backwardBatch;
+     * null means inference. Aliased tables are inference-only. No
+     * module-level caching — reentrant across workspaces; keep @p acts
+     * and @p ws alive until the backward runs. Returns a workspace-owned
+     * matrix, valid until the next ws.reset().
      */
     const Matrix& forwardBatch(const Matrix& x, Workspace& ws,
-                               BatchActs& acts) const;
+                               BatchActs* acts = nullptr) const;
 
     /**
      * Segment-aware batched backward through the stack: per-layer dW/db
@@ -143,8 +140,10 @@ class Mlp
      * ReLU masking from the cached post-activations, and one dX = dY W^T
      * GEMM per layer (nnkernel::matmulNT) for the inter-layer gradients.
      * Byte-identical parameter gradients to running the per-record
-     * forward()+backward() for each segment in pack order. Returns
-     * ws-owned dL/dx, or nullptr when @p need_dx is false.
+     * forward()+backward() for each segment in pack order. @p segs must
+     * tile the pack: aliased tables are inference-only, and this throws
+     * InternalError on one. Returns ws-owned dL/dx, or nullptr when
+     * @p need_dx is false.
      */
     Matrix* backwardBatch(const Matrix& dy, const BatchActs& acts,
                           const SegmentTable& segs, Workspace& ws,

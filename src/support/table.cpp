@@ -6,6 +6,20 @@
 
 namespace pruner {
 
+namespace {
+
+/** Terminal columns of a UTF-8 cell: one per code point, so a cell such
+ *  as "≥ 2.81x" stays aligned. */
+size_t
+displayWidth(const std::string& s)
+{
+    return static_cast<size_t>(std::count_if(s.begin(), s.end(), [](char c) {
+        return (static_cast<unsigned char>(c) & 0xC0) != 0x80;
+    }));
+}
+
+} // namespace
+
 Table::Table(std::string title) : title_(std::move(title)) {}
 
 void
@@ -47,7 +61,7 @@ Table::str() const
     std::vector<size_t> widths(ncols, 0);
     auto widen = [&](const std::vector<std::string>& row) {
         for (size_t i = 0; i < row.size(); ++i) {
-            widths[i] = std::max(widths[i], row[i].size());
+            widths[i] = std::max(widths[i], displayWidth(row[i]));
         }
     };
     widen(header_);
@@ -62,7 +76,8 @@ Table::str() const
     auto emit = [&](const std::vector<std::string>& row) {
         for (size_t i = 0; i < ncols; ++i) {
             const std::string cell = i < row.size() ? row[i] : "";
-            oss << cell << std::string(widths[i] - cell.size() + 2, ' ');
+            oss << cell
+                << std::string(widths[i] - displayWidth(cell) + 2, ' ');
         }
         oss << "\n";
     };

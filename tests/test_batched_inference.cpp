@@ -255,9 +255,9 @@ TEST(SegmentPooling, SumAndMeanMatchPerCandidate)
  * Numeric gradient check through the batched forward: the analytic
  * gradients come from the per-candidate forward/backward with the
  * sum-pooling broadcast (exactly what MlpCostModel::train does); the
- * numeric gradients differentiate the *batched* inferBatch + segmentColSum
- * scoring. Agreement proves batching changed neither the forward nor the
- * effective pooling gradients.
+ * numeric gradients differentiate the *batched* forwardBatch +
+ * segmentColSum scoring. Agreement proves batching changed neither the
+ * forward nor the effective pooling gradients.
  */
 TEST(SegmentPooling, BatchedForwardMatchesBroadcastGradients)
 {
@@ -273,10 +273,10 @@ TEST(SegmentPooling, BatchedForwardMatchesBroadcastGradients)
     Workspace ws;
     auto batched_loss = [&]() {
         ws.reset();
-        const Matrix& embedded = embed.inferBatch(pack, ws);
+        const Matrix& embedded = embed.forwardBatch(pack, ws);
         Matrix& pooled = ws.alloc(segs.count(), 6);
         segmentColSum(embedded, segs, pooled);
-        const Matrix& scores = head.inferBatch(pooled, ws);
+        const Matrix& scores = head.forwardBatch(pooled, ws);
         double loss = 0.0;
         for (size_t i = 0; i < scores.rows(); ++i) {
             loss += scores.at(i, 0);

@@ -8,7 +8,8 @@
  *    frozen as constants, for the same five models,
  *  - the nn-level backwardBatch passes (Mlp, SelfAttention) accumulate
  *    bitwise the same parameter gradients as the per-record
- *    forward()+backward() loop, at any segment shape,
+ *    forward()+backward() loop, at any segment shape, and reject aliased
+ *    (inference-only) segment tables,
  *  - the steady-state batched backward performs zero heap allocations
  *    (asserted through a counting replacement of the global allocator),
  *  - AsyncModelTrainer routed through the batched trainer stays provably
@@ -40,6 +41,7 @@
 #include "replay/session_log.hpp"
 #include "sched/sampler.hpp"
 #include "sim/gpu_simulator.hpp"
+#include "support/logging.hpp"
 #include "support/thread_pool.hpp"
 
 // ---------------------------------------------------------------------------
@@ -312,7 +314,7 @@ TEST(BatchedBackward, MlpMatchesPerRecordBitwise)
     }
     Workspace ws;
     BatchActs acts;
-    const Matrix& out = mlp.forwardBatch(pack, ws, acts);
+    const Matrix& out = mlp.forwardBatch(pack, ws, &acts);
     ASSERT_EQ(out.rows(), pack.rows());
     Matrix* dx = mlp.backwardBatch(dy_pack, acts, segs, ws,
                                    /*need_dx=*/true);
@@ -358,11 +360,11 @@ TEST(BatchedBackward, AttentionMatchesPerRecordBitwise)
     }
     Workspace ws;
     AttentionBatchCache cache;
-    const Matrix& out = attn.forwardBatch(pack, segs, ws, cache);
-    // The training forward must agree with the inference batch (and so,
-    // transitively, with per-segment infer()).
+    const Matrix& out = attn.forwardBatch(pack, segs, ws, &cache);
+    // The cached (training) forward must agree with the uncached
+    // (inference) one, which test_nn pins to per-segment inferReference().
     Workspace ws2;
-    const Matrix& infer_out = attn.inferBatch(pack, segs, ws2);
+    const Matrix& infer_out = attn.forwardBatch(pack, segs, ws2);
     ASSERT_EQ(out.rows(), infer_out.rows());
     EXPECT_EQ(std::memcmp(out.data().data(), infer_out.data().data(),
                           out.size() * sizeof(double)),
@@ -379,6 +381,39 @@ TEST(BatchedBackward, AttentionMatchesPerRecordBitwise)
             }
         }
     }
+}
+
+TEST(BatchedBackward, AliasedTablesAreInferenceOnly)
+{
+    // The cached forward accepts an aliased table (it skips the aliased
+    // segment and never writes its softmax block), so the backward's
+    // contiguity checks are what stop a gradient pass from reading the
+    // unwritten block or double-counting the shared rows.
+    Rng rng(241);
+    SelfAttention attn(6, rng);
+    Mlp mlp({6, 4, 1}, rng);
+    const Matrix pack = Matrix::randn(7, 6, rng, 0.7);
+    SegmentTable segs;
+    segs.append(4);
+    segs.append(3);
+    segs.appendAlias(0, 4);
+    Workspace ws;
+    AttentionBatchCache cache;
+    const Matrix& out = attn.forwardBatch(pack, segs, ws, &cache);
+    ASSERT_EQ(out.rows(), pack.rows());
+    const Matrix dy = Matrix::randn(7, 6, rng, 0.5);
+    EXPECT_THROW(attn.backwardBatch(dy, cache, segs, ws), InternalError);
+
+    BatchActs acts;
+    mlp.forwardBatch(pack, ws, &acts);
+    const Matrix dscore = Matrix::randn(7, 1, rng, 0.5);
+    EXPECT_THROW(mlp.backwardBatch(dscore, acts, segs, ws), InternalError);
+
+    const Matrix pooled = Matrix::randn(3, 6, rng, 1.0);
+    Matrix broadcast;
+    EXPECT_THROW(segmentBroadcast(pooled, 0, 6, segs, broadcast,
+                                  /*mean=*/true),
+                 InternalError);
 }
 
 TEST(BatchedBackward, LinearSkipsDxWhenNotNeeded)
@@ -420,7 +455,7 @@ TEST(ZeroAlloc, MlpBackwardSteadyState)
             p.grad->zero();
         }
         ws.reset();
-        mlp.forwardBatch(pack, ws, acts);
+        mlp.forwardBatch(pack, ws, &acts);
         mlp.backwardBatch(dy, acts, segs, ws, /*need_dx=*/false);
     };
     pass();
@@ -452,7 +487,7 @@ TEST(ZeroAlloc, AttentionBackwardSteadyState)
             p.grad->zero();
         }
         ws.reset();
-        attn.forwardBatch(pack, segs, ws, cache);
+        attn.forwardBatch(pack, segs, ws, &cache);
         attn.backwardBatch(dy, cache, segs, ws, /*need_dx=*/true);
     };
     pass();

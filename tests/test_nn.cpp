@@ -431,9 +431,9 @@ TEST(SegmentTableAlias, AttentionAndPoolingMatchDuplicatedBlocks)
     alias_segs.appendAlias(0, 4); // duplicate aliased
 
     Workspace ws_full, ws_alias;
-    const Matrix& ctx_full = attn.inferBatch(full, full_segs, ws_full);
+    const Matrix& ctx_full = attn.forwardBatch(full, full_segs, ws_full);
     const Matrix& ctx_alias =
-        attn.inferBatch(deduped, alias_segs, ws_alias);
+        attn.forwardBatch(deduped, alias_segs, ws_alias);
     Matrix pooled_full, pooled_alias;
     segmentColMean(ctx_full, full_segs, pooled_full);
     segmentColMean(ctx_alias, alias_segs, pooled_alias);
@@ -515,7 +515,7 @@ TEST(BatchedLayers, MlpInferBatchMatchesPerRowInfer)
     Mlp mlp({5, 8, 3}, rng);
     const Matrix x = Matrix::randn(11, 5, rng, 1.0);
     Workspace ws;
-    const Matrix& batched = mlp.inferBatch(x, ws);
+    const Matrix& batched = mlp.forwardBatch(x, ws);
     const Matrix whole = mlp.inferReference(x);
     ASSERT_EQ(batched.rows(), 11u);
     ASSERT_EQ(batched.cols(), 3u);
@@ -542,7 +542,7 @@ TEST(BatchedLayers, AttentionInferBatchMatchesPerSegmentInfer)
     segs.append(2);
     segs.append(4);
     Workspace ws;
-    const Matrix& batched = attn.inferBatch(x, segs, ws);
+    const Matrix& batched = attn.forwardBatch(x, segs, ws);
     ASSERT_EQ(batched.rows(), x.rows());
     for (size_t s = 0; s < segs.count(); ++s) {
         if (segs.rows(s) == 0) {

@@ -349,6 +349,18 @@ TEST(Table, AsciiAndCsvRendering)
     EXPECT_EQ(t.rowCount(), 2u);
 }
 
+TEST(Table, AlignsMultiByteCellsByCodePoint)
+{
+    // "≥" is three UTF-8 bytes but one terminal column, so the next
+    // column starts two bytes later on its row than on an ASCII row.
+    Table t;
+    t.addRow({"≥ 2.81x", "a"});
+    t.addRow({"1.77x", "b"});
+    const std::string ascii = t.str();
+    const size_t row2 = ascii.find('\n') + 1;
+    EXPECT_EQ(ascii.find('a'), ascii.find('b') - row2 + 2);
+}
+
 /** Bit-serial reflected CRC-32: the definition, with no tables. */
 uint32_t
 crc32Bitwise(const unsigned char* bytes, size_t size)

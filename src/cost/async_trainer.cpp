@@ -52,11 +52,8 @@ AsyncModelTrainer::beginUpdate(std::vector<MeasuredRecord> window,
         tracer_->argU64(overlap_span_, "epochs",
                         static_cast<uint64_t>(epochs));
     }
-    inflight_ = pool_->submit([this, snapshot, epochs]() {
-        const double loss = back_->train(*snapshot, epochs);
-        staged_.publish(back_->getParams());
-        return loss;
-    });
+    inflight_ = pool_->submit(
+        [this, snapshot, epochs]() { back_->train(*snapshot, epochs); });
 }
 
 bool
@@ -65,10 +62,10 @@ AsyncModelTrainer::install()
     if (!inflight_.valid()) {
         return false;
     }
-    inflight_.get(); // waits; rethrows training exceptions
-    if (staged_.consume(&scratch_)) {
-        front_->setParams(scratch_);
-    }
+    // get() waits for the job and rethrows its exception; once it returns
+    // the back model is idle, so its weights are read without a lock.
+    inflight_.get();
+    front_->setParams(back_->getParams());
     if (tracer_ != nullptr && overlap_span_ != 0 && clock_ != nullptr) {
         tracer_->end(overlap_span_, clock_->now());
         overlap_span_ = 0;

@@ -11,9 +11,10 @@
  * clone while the main loop drafts the next round's candidates (Pruner's
  * LSE draft stage never touches the learned model, so the overlap is
  * free). Before the next verify pass the policy calls install(), which
- * waits for the in-flight job and swaps the freshly trained weights into
- * the front model through a DoubleBufferedParams snapshot — the draft and
- * verify stages can never observe torn weights.
+ * waits for the in-flight job and only then copies the back clone's
+ * weights into the front model — one job is in flight at a time and
+ * nothing reads the clone while it trains, so the draft and verify stages
+ * can never observe torn weights.
  *
  * The update job simply calls the model's train(), so it rides the
  * batched segment-aware training engine (one GEMM per LambdaRank group,
@@ -36,14 +37,13 @@
 #include <vector>
 
 #include "cost/cost_model.hpp"
-#include "nn/param_buffer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/thread_pool.hpp"
 
 namespace pruner {
 
-/** Double-buffered asynchronous trainer for one tuning run. */
+/** Back-buffer asynchronous trainer for one tuning run. */
 class AsyncModelTrainer
 {
   public:
@@ -89,9 +89,7 @@ class AsyncModelTrainer
     CostModel* front_;
     ThreadPool* pool_;
     std::unique_ptr<CostModel> back_;
-    DoubleBufferedParams staged_;
-    std::future<double> inflight_;
-    std::vector<double> scratch_;
+    std::future<void> inflight_;
     size_t launched_ = 0;
     obs::Tracer* tracer_ = nullptr;
     const SimClock* clock_ = nullptr;

@@ -5,9 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <iomanip>
-#include <iterator>
 #include <limits>
 #include <sstream>
 
@@ -24,13 +22,10 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr uint32_t kCacheMagic = 0x434D5250; // "PRMC" little-endian
-/** v1: 16-byte header (magic, version, count), no checksum — truncated
- *  tails load their intact prefix. v2 appends a CRC-32 of the entry bytes
- *  to the header; any size or CRC mismatch marks the file corrupt. v1
- *  files are still accepted on load. */
-constexpr uint32_t kCacheVersionLegacy = 1;
+/** The 20-byte header holds magic, version, entry count and a CRC-32 of
+ *  the entry bytes. Any other version, a size that is not exactly the
+ *  claimed entries, or a CRC mismatch marks the file corrupt. */
 constexpr uint32_t kCacheVersion = 2;
-constexpr size_t kCacheHeaderBytesV1 = 16;
 constexpr size_t kCacheHeaderBytes = 20;
 constexpr size_t kCacheEntryBytes = 24;
 
@@ -83,49 +78,32 @@ enum class SnapshotRead : uint8_t
              ///< should quarantine; nothing loaded
 };
 
-/** Parse a snapshot file into @p out. Accepts both the CRC-framed v2
- *  format and legacy v1 (where a truncated tail loads its intact
- *  prefix). */
+/** Parse a snapshot file into @p out. */
 SnapshotRead
 readSnapshotFile(const std::string& path, SnapshotMap* out)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    const std::optional<std::string> bytes = io::readFile(path);
+    if (!bytes) {
         return SnapshotRead::Missing;
     }
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    if (bytes.size() < kCacheHeaderBytesV1 ||
-        getU32(bytes.data()) != kCacheMagic) {
+    if (bytes->size() < kCacheHeaderBytes ||
+        getU32(bytes->data()) != kCacheMagic ||
+        getU32(bytes->data() + 4) != kCacheVersion) {
         return SnapshotRead::Corrupt;
     }
-    const uint32_t version = getU32(bytes.data() + 4);
-    const uint64_t claimed = getU64(bytes.data() + 8);
-    size_t header = kCacheHeaderBytes;
-    size_t count = 0;
-    if (version == kCacheVersionLegacy) {
-        header = kCacheHeaderBytesV1;
-        const size_t available = (bytes.size() - header) / kCacheEntryBytes;
-        count = std::min<size_t>(static_cast<size_t>(claimed), available);
-    } else if (version == kCacheVersion) {
-        if (bytes.size() < kCacheHeaderBytes ||
-            bytes.size() - kCacheHeaderBytes !=
-                claimed * kCacheEntryBytes) {
-            return SnapshotRead::Corrupt;
-        }
-        const uint32_t stored_crc = getU32(bytes.data() + 16);
-        const uint32_t actual_crc =
-            io::crc32(bytes.data() + kCacheHeaderBytes,
-                      bytes.size() - kCacheHeaderBytes);
-        if (stored_crc != actual_crc) {
-            return SnapshotRead::Corrupt;
-        }
-        count = static_cast<size_t>(claimed);
-    } else {
+    // Check the size by division: a product of the claimed count wraps
+    // when a high count bit flips, and the loop would then run off the
+    // buffer.
+    const char* body = bytes->data() + kCacheHeaderBytes;
+    const size_t body_bytes = bytes->size() - kCacheHeaderBytes;
+    const uint64_t count = getU64(bytes->data() + 8);
+    if (body_bytes % kCacheEntryBytes != 0 ||
+        count != body_bytes / kCacheEntryBytes ||
+        getU32(bytes->data() + 16) != io::crc32(body, body_bytes)) {
         return SnapshotRead::Corrupt;
     }
     for (size_t i = 0; i < count; ++i) {
-        const char* p = bytes.data() + header + i * kCacheEntryBytes;
+        const char* p = body + i * kCacheEntryBytes;
         const uint64_t task = getU64(p);
         const uint64_t sched = getU64(p + 8);
         const double latency = std::bit_cast<double>(getU64(p + 16));
@@ -267,13 +245,11 @@ ArtifactDb::shardFor(uint64_t task_hash) const
 void
 ArtifactDb::loadShardFile(const std::string& path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    const std::optional<std::string> file = io::readFile(path);
+    if (!file) {
         return; // fresh shard, no log yet
     }
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    in.close();
+    const std::string& bytes = *file;
 
     // A crash mid-append leaves a final line without its newline.
     // Truncate the file itself, not just the in-memory view: the shard
@@ -309,13 +285,9 @@ ArtifactDb::loadShardFile(const std::string& path)
         if (line.empty()) {
             continue;
         }
-        if (io::checkLineCrc(line) == io::LineCrc::Mismatch) {
-            ++bad;
-            continue;
-        }
         RawRecordLine raw;
-        if (!lineToRawRecord(line, &raw)) {
-            ++bad; // malformed line: crash-tolerant skip
+        if (!io::checkLineCrc(line) || !lineToRawRecord(line, &raw)) {
+            ++bad; // unframed, CRC-mismatched or malformed: skip
             continue;
         }
         ++good;
@@ -552,29 +524,13 @@ ArtifactDb::saveModelParams(const std::string& key,
     if (!writable_) {
         return;
     }
-    // saveParams writes text; route it through the same tmp+rename dance
-    // by writing to a sibling and renaming. A checkpoint that cannot be
-    // written is a warning, not a crash — the next run simply trains from
-    // scratch.
+    // A checkpoint that cannot be written is a warning, not a crash — the
+    // next run simply trains from scratch.
     const std::string path = modelPath(key);
-    const std::string tmp = path + ".tmp";
-    try {
-        saveParams(tmp, params);
-    } catch (const std::exception& e) {
-        PRUNER_WARN("cannot write model checkpoint '" << tmp
-                                                      << "': " << e.what());
+    if (!io::atomicWriteFile(path, encodeParams(params))) {
+        PRUNER_WARN("cannot persist model checkpoint '"
+                    << path << "'; the next run trains from scratch");
         ++io_failures_;
-        std::error_code ec;
-        fs::remove(tmp, ec);
-        return;
-    }
-    std::error_code ec;
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        PRUNER_WARN("cannot rename " << tmp << " to " << path << ": "
-                                     << ec.message());
-        ++io_failures_;
-        fs::remove(tmp, ec);
     }
 }
 
@@ -582,24 +538,22 @@ std::optional<std::vector<double>>
 ArtifactDb::tryLoadModelParams(const std::string& key) const
 {
     const std::string path = modelPath(key);
-    // std::exception, not just FatalError: a corrupt header can make
-    // loadParams throw length_error/bad_alloc from the size allocation.
+    const std::optional<std::string> text = io::readFile(path);
+    if (!text) {
+        return std::nullopt;
+    }
     try {
-        return loadParams(path);
-    } catch (const std::exception& e) {
-        std::error_code ec;
-        if (fs::exists(path, ec)) {
-            // Present but unparseable: quarantine so the next load does
-            // not trip over the same poison.
-            const std::string moved = io::quarantineFile(path);
-            PRUNER_WARN("model checkpoint '"
-                        << path << "' is corrupt (" << e.what() << "); "
-                        << (moved.empty()
-                                ? "ignoring it"
-                                : "quarantined to '" + moved + "'")
-                        << " — the model trains from scratch");
-            ++quarantined_files_;
-        }
+        return decodeParams(*text);
+    } catch (const FatalError& e) {
+        // Present but unparseable: quarantine so the next load does not
+        // trip over the same poison.
+        const std::string moved = io::quarantineFile(path);
+        PRUNER_WARN("model checkpoint '"
+                    << path << "' is corrupt (" << e.what() << "); "
+                    << (moved.empty() ? "ignoring it"
+                                      : "quarantined to '" + moved + "'")
+                    << " — the model trains from scratch");
+        ++quarantined_files_;
         return std::nullopt;
     }
 }

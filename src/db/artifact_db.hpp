@@ -18,13 +18,13 @@
  *                                   (task hash, schedule hash) — repeated
  *                                   runs pay zero simulated measurements
  *                                   for shared candidates
- *   <root>/models/<key>.params      cost-model weight checkpoints through
- *                                   the nn/serialize flat-vector format
+ *   <root>/models/<key>.params      cost-model weight checkpoints in the
+ *                                   nn/serialize text codec
  *
  * Storage faults never terminate a tuning run. Record lines are CRC-framed
- * (io::withLineCrc); loading skips lines whose CRC mismatches, physically
- * truncates a torn final line (so later appends cannot concatenate onto
- * it), and tolerates pre-CRC logs. Snapshot writes go through
+ * (io::withLineCrc); loading skips every line without a valid CRC suffix
+ * and physically truncates a torn final line (so later appends cannot
+ * concatenate onto it). Snapshot and model writes go through
  * io::atomicWriteFile (tmp + rename, bounded retries); corrupt snapshots
  * and model checkpoints are quarantined to "<path>.corrupt" and skipped.
  * Every degradation warns once and bumps a StorageHealth counter; an
@@ -95,7 +95,6 @@ class ArtifactDb
     ArtifactDb& operator=(const ArtifactDb&) = delete;
 
     const std::string& root() const { return root_; }
-    size_t numShards() const { return shards_.size(); }
 
     /** False when the root directories could not be created; every write
      *  is then a warned no-op and every read serves the empty store. */
@@ -135,15 +134,16 @@ class ArtifactDb
 
     /** Load the snapshot (if any) into @p cache via insert(); returns the
      *  number of entries restored. Missing or unreadable snapshots load
-     *  nothing; a legacy (v1, pre-CRC) truncated snapshot loads its intact
-     *  prefix; a CRC-framed snapshot that fails its checksum is
-     *  quarantined and loads nothing. */
+     *  nothing; a snapshot with a foreign magic or version, a size that
+     *  does not match its entry count, or a failed checksum is quarantined
+     *  and loads nothing. */
     size_t loadMeasureCache(MeasureCache* cache) const;
 
     // ------------------------------------------------- model checkpoints
 
     /** Persist a flat parameter snapshot under @p key (sanitized into a
-     *  file name), e.g. key = "Pruner/PaCM/a100". */
+     *  file name), e.g. key = "Pruner/PaCM/a100", via io::atomicWriteFile.
+     *  A failed write warns and counts an io_failure. */
     void saveModelParams(const std::string& key,
                          const std::vector<double>& params);
 

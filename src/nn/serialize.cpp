@@ -1,7 +1,7 @@
 #include "nn/serialize.hpp"
 
-#include <fstream>
 #include <locale>
+#include <sstream>
 
 #include "support/logging.hpp"
 
@@ -11,47 +11,44 @@ namespace pruner {
 // machine must load on any other regardless of the global locale (a
 // comma-decimal locale would otherwise corrupt the doubles).
 
-void
-saveParams(const std::string& path, const std::vector<double>& flat)
+std::string
+encodeParams(const std::vector<double>& flat)
 {
-    std::ofstream out(path);
-    if (!out) {
-        PRUNER_FATAL("cannot open " << path << " for writing");
-    }
+    std::ostringstream out;
     out.imbue(std::locale::classic());
     out.precision(17);
     out << flat.size() << "\n";
     for (double v : flat) {
         out << v << "\n";
     }
-    if (!out) {
-        PRUNER_FATAL("write failure on " << path);
-    }
+    return out.str();
 }
 
 std::vector<double>
-loadParams(const std::string& path)
+decodeParams(const std::string& text)
 {
-    std::ifstream in(path);
-    if (!in) {
-        PRUNER_FATAL("cannot open " << path << " for reading");
-    }
+    std::istringstream in(text);
     in.imbue(std::locale::classic());
     size_t n = 0;
     if (!(in >> n)) {
-        PRUNER_FATAL("malformed parameter file " << path);
+        PRUNER_FATAL("malformed parameter count");
     }
-    // A corrupt header must not drive a huge allocation before the
-    // truncation check below can reject the file.
+    // A corrupt count must not drive a huge allocation before the
+    // truncation check below can reject the text. Every value takes at
+    // least two bytes ("0\n"), which bounds the count by the text too.
     constexpr size_t kMaxParams = size_t{1} << 28;
-    if (n > kMaxParams) {
-        PRUNER_FATAL("implausible parameter count " << n << " in " << path);
+    if (n > kMaxParams || n > text.size() / 2) {
+        PRUNER_FATAL("implausible parameter count " << n);
     }
     std::vector<double> flat(n);
     for (size_t i = 0; i < n; ++i) {
         if (!(in >> flat[i])) {
-            PRUNER_FATAL("truncated parameter file " << path);
+            PRUNER_FATAL("truncated parameter list (" << i << " of " << n
+                                                      << " values)");
         }
+    }
+    if (!(in >> std::ws).eof()) {
+        PRUNER_FATAL("trailing data after " << n << " parameters");
     }
     return flat;
 }

@@ -2,8 +2,9 @@
 
 /**
  * @file serialize.hpp
- * Flat-vector parameter snapshots with file round-tripping. Used for
- * pre-trained model hand-off (offline -> online tuning) and by MoA.
+ * Text codec for flat parameter vectors: the count on the first line, then
+ * one value per line at precision 17 in the classic locale. ArtifactDb
+ * stores model checkpoints in it through io::atomicWriteFile.
  */
 
 #include <string>
@@ -11,11 +12,12 @@
 
 namespace pruner {
 
-/** Write a flat parameter vector to a text file (one value per line). */
-void saveParams(const std::string& path, const std::vector<double>& flat);
+/** Encode a flat parameter vector (count, then one value per line). */
+std::string encodeParams(const std::vector<double>& flat);
 
-/** Read a flat parameter vector from a file written by saveParams.
- *  Throws FatalError if the file is missing or malformed. */
-std::vector<double> loadParams(const std::string& path);
+/** Decode encodeParams() text. Throws FatalError on a malformed count, a
+ *  count above 2^28 or larger than the text can hold, a truncated value
+ *  list, or trailing data. */
+std::vector<double> decodeParams(const std::string& text);
 
 } // namespace pruner

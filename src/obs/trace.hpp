@@ -79,7 +79,6 @@ class Tracer
     void argDouble(SpanHandle handle, const char* key, double value);
     void argStr(SpanHandle handle, const char* key, const std::string& value);
 
-    bool captureWall() const { return capture_wall_; }
     size_t eventCount() const;
     void clear();
 

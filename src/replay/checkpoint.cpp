@@ -4,7 +4,6 @@
 #include <charconv>
 #include <concepts>
 #include <cstdio>
-#include <fstream>
 #include <string_view>
 
 #include "core/moa.hpp"
@@ -46,68 +45,6 @@ hashF64(uint64_t h, double v)
 {
     return hashCombine(h, std::bit_cast<uint64_t>(v));
 }
-
-/** Space-separated token reader over one payload line; tokens are views
- *  into the line. Throws FatalError (via the session_log hex decoders /
- *  PRUNER_FATAL) on malformed input, which loadCheckpoint turns into
- *  quarantine-and-start-cold. */
-class Tok
-{
-  public:
-    Tok(std::string_view line, size_t start) : line_(line), pos_(start) {}
-
-    std::string_view
-    next()
-    {
-        while (pos_ < line_.size() && line_[pos_] == ' ') {
-            ++pos_;
-        }
-        const size_t begin = pos_;
-        while (pos_ < line_.size() && line_[pos_] != ' ') {
-            ++pos_;
-        }
-        if (pos_ == begin) {
-            PRUNER_FATAL("checkpoint: truncated line '" << line_ << "'");
-        }
-        return line_.substr(begin, pos_ - begin);
-    }
-
-    uint64_t u64() { return parseHexU64(next()); }
-    double f64() { return bitsToDouble(next()); }
-
-    uint64_t
-    dec()
-    {
-        const std::string_view t = next();
-        uint64_t value = 0;
-        for (const char c : t) {
-            if (c < '0' || c > '9') {
-                PRUNER_FATAL("checkpoint: bad integer '" << t << "'");
-            }
-            value = value * 10 + static_cast<uint64_t>(c - '0');
-        }
-        return value;
-    }
-
-    int64_t
-    sdec()
-    {
-        while (pos_ < line_.size() && line_[pos_] == ' ') {
-            ++pos_;
-        }
-        bool neg = false;
-        if (pos_ < line_.size() && line_[pos_] == '-') {
-            neg = true;
-            ++pos_;
-        }
-        const int64_t mag = static_cast<int64_t>(dec());
-        return neg ? -mag : mag;
-    }
-
-  private:
-    std::string_view line_;
-    size_t pos_;
-};
 
 /** 16 lowercase hex digits of a value / of a double's bit pattern. */
 struct Hex
@@ -175,7 +112,7 @@ putRng(Writer& out, const RngState& rng)
 }
 
 RngState
-getRng(Tok& in)
+getRng(TokenReader& in)
 {
     RngState rng;
     for (auto& word : rng.s) {
@@ -206,7 +143,7 @@ putRoundStats(Writer& out, const obs::RoundStats& r)
 }
 
 obs::RoundStats
-getRoundStats(Tok& in)
+getRoundStats(TokenReader& in)
 {
     obs::RoundStats r;
     r.round = static_cast<int>(in.sdec());
@@ -263,7 +200,7 @@ payloadSizeHint(const TuningCheckpoint& cp)
 }
 
 std::vector<double>
-getDoubles(Tok& in)
+getDoubles(TokenReader& in)
 {
     const uint64_t n = in.dec();
     std::vector<double> values;
@@ -607,7 +544,7 @@ decodeCheckpoint(const std::string& text)
         const std::string_view kind = line.substr(0, sep);
         const size_t body =
             sep == std::string_view::npos ? line.size() : sep + 1;
-        Tok in(line, body);
+        TokenReader in(line, body);
         if (kind == "fp") {
             cp.fingerprint = in.u64();
         } else if (kind == "round") {
@@ -755,19 +692,16 @@ std::optional<TuningCheckpoint>
 loadCheckpoint(const std::string& path, uint64_t expected_fingerprint,
                obs::MetricsRegistry* metrics)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    const std::optional<std::string> text = io::readFile(path);
+    if (!text) {
         PRUNER_WARN("checkpoint '" << path
                                    << "' missing or unreadable; starting "
                                       "cold");
         return std::nullopt;
     }
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    in.close();
     TuningCheckpoint cp;
     try {
-        cp = decodeCheckpoint(text);
+        cp = decodeCheckpoint(*text);
     } catch (const std::exception& e) {
         const std::string quarantined = io::quarantineFile(path);
         PRUNER_WARN("corrupt checkpoint '"

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <fstream>
-#include <iterator>
 #include <sstream>
 
 #include "support/io.hpp"
@@ -86,6 +84,51 @@ parseHexU64(std::string_view hex)
         }
     }
     return value;
+}
+
+std::string_view
+TokenReader::next()
+{
+    while (pos_ < line_.size() && line_[pos_] == ' ') {
+        ++pos_;
+    }
+    const size_t begin = pos_;
+    while (pos_ < line_.size() && line_[pos_] != ' ') {
+        ++pos_;
+    }
+    if (pos_ == begin) {
+        PRUNER_FATAL("truncated line '" << line_.substr(0, 64) << "'");
+    }
+    return line_.substr(begin, pos_ - begin);
+}
+
+uint64_t
+TokenReader::dec()
+{
+    const std::string_view t = next();
+    uint64_t value = 0;
+    for (const char c : t) {
+        if (c < '0' || c > '9') {
+            PRUNER_FATAL("bad integer '" << t << "'");
+        }
+        value = value * 10 + static_cast<uint64_t>(c - '0');
+    }
+    return value;
+}
+
+int64_t
+TokenReader::sdec()
+{
+    while (pos_ < line_.size() && line_[pos_] == ' ') {
+        ++pos_;
+    }
+    bool neg = false;
+    if (pos_ < line_.size() && line_[pos_] == '-') {
+        neg = true;
+        ++pos_;
+    }
+    const int64_t mag = static_cast<int64_t>(dec());
+    return neg ? -mag : mag;
 }
 
 std::string
@@ -195,13 +238,11 @@ SessionLog::parse(const std::string& text)
 SessionLog
 SessionLog::load(const std::string& path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    const std::optional<std::string> file = io::readFile(path);
+    if (!file) {
         PRUNER_FATAL("session log: cannot open '" << path << "'");
     }
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    in.close();
+    const std::string& bytes = *file;
 
     // Only complete lines are trustworthy: a crash mid-write leaves a
     // final line without its newline. Drop it rather than parse garbage;
@@ -217,11 +258,10 @@ SessionLog::load(const std::string& path)
         usable = keep;
     }
 
-    // Verify and strip per-line CRC framing (lines without a suffix are
-    // pre-CRC artifacts, accepted unchanged). The first CRC mismatch
-    // truncates the log there: everything after a corrupt line is
-    // untrusted, and replay of a half-corrupt session would diverge
-    // anyway.
+    // Verify and strip per-line CRC framing. The first line without a
+    // valid suffix truncates the log there: everything after a corrupt
+    // line is untrusted, and replay of a half-corrupt session would
+    // diverge anyway.
     std::string text;
     text.reserve(usable);
     size_t pos = 0;
@@ -234,10 +274,10 @@ SessionLog::load(const std::string& path)
         if (!line.empty() && line.back() == '\r') {
             line.pop_back();
         }
-        if (io::checkLineCrc(line) == io::LineCrc::Mismatch) {
-            PRUNER_WARN("session log '" << path << "': CRC mismatch on line "
-                                        << line_no
-                                        << "; truncating the log there");
+        if (!io::checkLineCrc(line)) {
+            PRUNER_WARN("session log '" << path << "': line " << line_no
+                                        << " has no valid CRC suffix; "
+                                           "truncating the log there");
             break;
         }
         text += line;
@@ -271,17 +311,6 @@ EventFields::EventFields(const std::string& line)
         }
         fields_.emplace_back(parts[i].substr(0, eq), parts[i].substr(eq + 1));
     }
-}
-
-bool
-EventFields::has(const std::string& key) const
-{
-    for (const auto& [k, v] : fields_) {
-        if (k == key) {
-            return true;
-        }
-    }
-    return false;
 }
 
 const std::string&

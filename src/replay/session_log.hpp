@@ -65,6 +65,34 @@ std::string hexU64(uint64_t value);
 /** Decode hexU64(); throws FatalError on malformed input. */
 uint64_t parseHexU64(std::string_view hex);
 
+/** Space-separated token reader over one line of text, the decoder of the
+ *  checkpoint payload and of explorer state blobs. Tokens are views into
+ *  the line, which must outlive the reader. Throws FatalError on a
+ *  missing or malformed token. */
+class TokenReader
+{
+  public:
+    explicit TokenReader(std::string_view line, size_t start = 0)
+        : line_(line), pos_(start)
+    {
+    }
+
+    /** The next token; FatalError when the line has none left. */
+    std::string_view next();
+    /** The next token as hex (parseHexU64). */
+    uint64_t u64() { return parseHexU64(next()); }
+    /** The next token as a doubleBits() pattern. */
+    double f64() { return bitsToDouble(next()); }
+    /** The next token as an unsigned decimal. */
+    uint64_t dec();
+    /** The next token as a decimal with an optional leading '-'. */
+    int64_t sdec();
+
+  private:
+    std::string_view line_;
+    size_t pos_;
+};
+
 /** Order-sensitive content hash of a flat parameter vector (bit_cast per
  *  element), used for the model checkpoint hashes in session logs. */
 uint64_t paramsHash(const std::vector<double>& params);
@@ -106,7 +134,9 @@ class SessionLog
      *  truncated log (no terminal end event). */
     static SessionLog parse(const std::string& text);
 
-    /** Load + parse a log file; throws FatalError if unreadable. */
+    /** Load + parse a save()d log file; throws FatalError if unreadable.
+     *  The first line without a valid CRC suffix truncates the log there,
+     *  so parse() then rejects it as incomplete. */
     static SessionLog load(const std::string& path);
 
     /** Write serialize() to @p path atomically (tmp + rename). */
@@ -124,7 +154,6 @@ class EventFields
   public:
     explicit EventFields(const std::string& line);
 
-    bool has(const std::string& key) const;
     const std::string& get(const std::string& key) const;
     uint64_t getU64(const std::string& key) const;
     int64_t getInt(const std::string& key) const;

@@ -25,13 +25,21 @@ headerFields(const SessionLog& log, const std::string& kind)
     return EventFields(event->line);
 }
 
-std::unique_ptr<SearchPolicy>
-makePrunerFromConfig(const DeviceSpec& device, const EventFields& cfg)
+/** Refuse a session whose policy started from pretrained weights: they
+ *  are not stored in the log. */
+void
+refusePretrained(const EventFields& cfg)
 {
     if (cfg.getInt("pretrained") != 0) {
         PRUNER_FATAL("session replay: session used pretrained weights, "
                      "which are not stored in the log");
     }
+}
+
+std::unique_ptr<SearchPolicy>
+makePrunerFromConfig(const DeviceSpec& device, const EventFields& cfg)
+{
+    refusePretrained(cfg);
     PrunerConfig config;
     config.use_lse = cfg.getInt("lse") != 0;
     config.use_moa = cfg.getInt("moa") != 0;
@@ -49,15 +57,6 @@ makePrunerFromConfig(const DeviceSpec& device, const EventFields& cfg)
     config.pacm.use_dataflow_features = cfg.getInt("pacm_d") != 0;
     return std::make_unique<PrunerPolicy>(device, config,
                                           cfg.getU64("model_seed"));
-}
-
-void
-refusePretrained(const EventFields& cfg)
-{
-    if (cfg.has("pretrained") && cfg.getInt("pretrained") != 0) {
-        PRUNER_FATAL("session replay: session used pretrained weights, "
-                     "which are not stored in the log");
-    }
 }
 
 /** The built-in policy recorded under @p factory, rebuilt from its
@@ -124,6 +123,7 @@ SessionReplayer::replay(const SessionLog& recorded,
     const EventFields options = headerFields(recorded, "options");
     const EventFields constants = headerFields(recorded, "constants");
     const EventFields faults = headerFields(recorded, "faults");
+    const EventFields policycfg = headerFields(recorded, "policycfg");
 
     if (session.getInt("db") != 0) {
         PRUNER_FATAL(
@@ -132,15 +132,11 @@ SessionReplayer::replay(const SessionLog& recorded,
     }
 
     // --- Device and policy ----------------------------------------------
-    const SessionEvent* policycfg = recorded.find("policycfg");
-    if (policycfg == nullptr) {
-        PRUNER_FATAL("session replay: log has no 'policycfg' event");
-    }
     const DeviceSpec device = env.device != nullptr
                                   ? *env.device
                                   : DeviceSpec::byName(session.get("device"));
-    std::unique_ptr<SearchPolicy> policy = makeReplayPolicy(
-        session.get("factory"), device, EventFields(policycfg->line));
+    std::unique_ptr<SearchPolicy> policy =
+        makeReplayPolicy(session.get("factory"), device, policycfg);
 
     // --- Workload -------------------------------------------------------
     const size_t tasks = static_cast<size_t>(session.getInt("tasks"));
@@ -194,17 +190,11 @@ SessionReplayer::replay(const SessionLog& recorded,
     plan.flaky_sigma = faults.getDoubleBits("sigma");
     plan.timeout_extra_s = faults.getDoubleBits("extra");
 
-    // Draft-stage explorer: part of the trajectory. Logs from before the
-    // explorer fields existed replay under the default (which is what
-    // they recorded).
-    const EventFields policy_fields(policycfg->line);
-    if (policy_fields.has("explorer")) {
-        opts.explorer = policy_fields.get("explorer");
-    }
-    if (policy_fields.has("explorercfg")) {
-        const std::string& cfg = policy_fields.get("explorercfg");
-        opts.explorer_config = cfg == "-" ? "" : cfg;
-    }
+    // Draft-stage explorer: part of the trajectory, recorded by every
+    // session ("-" stands for an empty config).
+    opts.explorer = policycfg.get("explorer");
+    const std::string& explorer_cfg = policycfg.get("explorercfg");
+    opts.explorer_config = explorer_cfg == "-" ? "" : explorer_cfg;
 
     // Observability pass-through: pure outputs, never part of the
     // recorded log or the replay diff.

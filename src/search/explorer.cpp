@@ -1,6 +1,5 @@
 #include "search/explorer.hpp"
 
-#include <bit>
 #include <cmath>
 #include <sstream>
 
@@ -11,68 +10,6 @@
 #include "support/logging.hpp"
 
 namespace pruner {
-
-namespace {
-
-// Checkpoint blobs: space-separated printable tokens, written with the
-// session-log hexU64()/doubleBits() codec (doubles as 16-hex IEEE-754 bit
-// patterns, a bit-exact round trip).
-
-/** Cursor-based reader over a serializeState() blob. */
-class BlobReader
-{
-  public:
-    explicit BlobReader(const std::string& blob) : blob_(blob) {}
-
-    /** Next space-delimited token; FatalError at end of blob. */
-    std::string
-    token()
-    {
-        while (pos_ < blob_.size() && blob_[pos_] == ' ') {
-            ++pos_;
-        }
-        PRUNER_CHECK_MSG(pos_ < blob_.size(),
-                         "truncated explorer state blob");
-        const size_t start = pos_;
-        while (pos_ < blob_.size() && blob_[pos_] != ' ') {
-            ++pos_;
-        }
-        return blob_.substr(start, pos_ - start);
-    }
-
-    uint64_t
-    u64()
-    {
-        const std::string t = token();
-        PRUNER_CHECK_MSG(!t.empty() && t.size() <= 16,
-                         "bad u64 token in explorer state blob");
-        uint64_t v = 0;
-        for (const char c : t) {
-            int digit;
-            if (c >= '0' && c <= '9') {
-                digit = c - '0';
-            } else if (c >= 'a' && c <= 'f') {
-                digit = c - 'a' + 10;
-            } else {
-                PRUNER_FATAL("bad hex digit in explorer state blob");
-            }
-            v = (v << 4) | static_cast<uint64_t>(digit);
-        }
-        return v;
-    }
-
-    double
-    f64()
-    {
-        return std::bit_cast<double>(u64());
-    }
-
-  private:
-    const std::string& blob_;
-    size_t pos_ = 0;
-};
-
-} // namespace
 
 // ---------------------------------------------------------------------------
 // ExplorerSpec
@@ -258,6 +195,8 @@ class GbtExplorer final : public Explorer
         // The fitted trees are a deterministic pure function of the
         // training window, so only the window persists; restore marks the
         // model dirty and the next propose refits to identical trees.
+        // Doubles are written as 16-hex IEEE-754 bit patterns
+        // (doubleBits), a bit-exact round trip through TokenReader.
         std::ostringstream out;
         out << "gbt1 " << hexU64(targets_.size());
         for (const double t : targets_) {
@@ -281,11 +220,13 @@ class GbtExplorer final : public Explorer
         if (blob.empty()) {
             return;
         }
-        BlobReader in(blob);
-        PRUNER_CHECK_MSG(in.token() == "gbt1",
-                         "not a gbt explorer state blob");
+        TokenReader in(blob);
+        if (in.next() != "gbt1") {
+            PRUNER_FATAL("not a gbt explorer state blob");
+        }
+        // No reserve(n): the count is unchecked input, while the loop is
+        // bounded by the blob's own tokens.
         const uint64_t n = in.u64();
-        targets_.reserve(n);
         for (uint64_t i = 0; i < n; ++i) {
             targets_.push_back(in.f64());
         }

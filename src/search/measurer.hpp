@@ -73,7 +73,6 @@ class Measurer
      *  outcome is recorded through the attached SessionRecorder. Injected
      *  transients (timeouts, flaky latencies) never enter the cache. */
     void setFaultPlan(const FaultPlan& plan) { fault_plan_ = plan; }
-    const FaultPlan& faultPlan() const { return fault_plan_; }
 
     /** Attach a session recorder (borrowed, may be nullptr): every
      *  candidate outcome is emitted in deterministic order, after the

@@ -71,8 +71,8 @@ struct TuneOptions
     int tasks_per_round = 1;
     /** Overlap online cost-model updates with the next round's draft
      *  stage: the update trains a back-buffer clone of the model as a job
-     *  on the verify pool, and its weights swap in atomically before the
-     *  next verify pass (double-buffered, never torn). Results are
+     *  on the verify pool, and its weights are copied in after that job
+     *  has finished, before the next verify pass (never torn). Results are
      *  identical to synchronous training — the clone carries the model's
      *  RNG lineage — so only wall-clock behaviour changes. Needs
      *  measure_workers > 1 (silently synchronous otherwise); MoA's

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <thread>
 
 #include "support/rng.hpp"
@@ -141,28 +142,39 @@ withLineCrc(const std::string& line)
     return line + suffix;
 }
 
-LineCrc
+bool
 checkLineCrc(std::string& line)
 {
     if (line.size() < kCrcSuffixLen ||
         line.compare(line.size() - kCrcSuffixLen, kCrcPrefixLen, kCrcPrefix,
                      kCrcPrefixLen) != 0) {
-        return LineCrc::Missing;
+        return false;
     }
     uint32_t stored = 0;
     for (size_t i = line.size() - 8; i < line.size(); ++i) {
         const int digit = hexDigit(line[i]);
         if (digit < 0) {
-            return LineCrc::Missing; // not a crc suffix after all
+            return false;
         }
         stored = (stored << 4) | static_cast<uint32_t>(digit);
     }
     const size_t payload_len = line.size() - kCrcSuffixLen;
     if (crc32(line.data(), payload_len) != stored) {
-        return LineCrc::Mismatch;
+        return false;
     }
     line.resize(payload_len);
-    return LineCrc::Ok;
+    return true;
+}
+
+std::optional<std::string>
+readFile(const std::string& path)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in) {
+        return std::nullopt;
+    }
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
 }
 
 IoFaultKind

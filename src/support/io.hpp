@@ -11,10 +11,11 @@
  *  - crc32(): the standard reflected CRC-32 (IEEE 802.3 polynomial),
  *    used to frame every persisted line and file so loaders can detect
  *    torn writes and bit flips instead of parsing garbage.
- *  - line CRC framing: appendLineCrc() suffixes a payload line with
+ *  - line CRC framing: withLineCrc() suffixes a payload line with
  *    "\tcrc=XXXXXXXX"; checkLineCrc() verifies and strips the suffix.
- *    Lines without a suffix are accepted unchanged (back-compat with
- *    artifacts written before CRC framing existed).
+ *    A line without a well-formed, matching suffix is rejected, so the
+ *    CRC guards the suffix itself as well as the payload.
+ *  - readFile(): the whole of one artifact, read back in one piece.
  *  - atomicWriteFile(): tmp + rename whole-file replacement with bounded
  *    retry-with-backoff for transient failures. Returns success instead
  *    of throwing — callers degrade gracefully (warn + drop) when storage
@@ -33,6 +34,7 @@
  */
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 namespace pruner::io {
@@ -46,16 +48,14 @@ uint32_t crc32(const std::string& data);
 /** Append "\tcrc=XXXXXXXX" (lowercase hex of crc32(line)) to @p line. */
 std::string withLineCrc(const std::string& line);
 
-/** Outcome of checkLineCrc(). */
-enum class LineCrc
-{
-    Ok,       ///< valid suffix, verified and stripped
-    Missing,  ///< no crc suffix (pre-CRC artifact) — payload unchanged
-    Mismatch, ///< suffix present but CRC does not match — line is corrupt
-};
+/** Verify and strip the "\tcrc=XXXXXXXX" suffix of @p line in place.
+ *  Returns true only for a well-formed suffix whose CRC matches the
+ *  payload; a missing, malformed or mismatched suffix returns false and
+ *  leaves @p line unchanged. */
+bool checkLineCrc(std::string& line);
 
-/** Verify and strip a "\tcrc=XXXXXXXX" suffix from @p line in place. */
-LineCrc checkLineCrc(std::string& line);
+/** The whole of @p path as bytes; nullopt when it cannot be opened. */
+std::optional<std::string> readFile(const std::string& path);
 
 /** Kinds of injectable storage failures. */
 enum class IoFaultKind : uint8_t

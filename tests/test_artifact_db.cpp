@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -223,10 +224,11 @@ TEST_F(ArtifactDbTest, CorruptLinesAreSkippedWithoutQuarantine)
     EXPECT_TRUE(fs::exists(shard_path));
 }
 
-TEST_F(ArtifactDbTest, PreCrcShardLinesStillLoad)
+TEST_F(ArtifactDbTest, BareShardLinesAreCorrupt)
 {
-    // Shards written before CRC framing existed hold bare payload lines;
-    // they must keep loading unchanged.
+    // A payload line without its CRC suffix is no form the writer
+    // produces: it is a corrupt line, and a shard holding nothing else is
+    // quarantined.
     std::string shard_path;
     {
         ArtifactDb db(root_);
@@ -240,12 +242,40 @@ TEST_F(ArtifactDbTest, PreCrcShardLinesStillLoad)
         out << recordToLine(record) << "\n";
     }
     ArtifactDb reopened(root_);
-    EXPECT_EQ(reopened.recordCount(), 1u);
-    const auto best = reopened.bestSchedule(task_);
-    ASSERT_TRUE(best.has_value());
-    EXPECT_EQ(best->sch, record.sch);
-    EXPECT_DOUBLE_EQ(best->latency, record.latency);
-    EXPECT_EQ(reopened.storageHealth().corrupt_lines, 0u);
+    EXPECT_EQ(reopened.recordCount(), 0u);
+    EXPECT_FALSE(reopened.bestSchedule(task_).has_value());
+    EXPECT_EQ(reopened.storageHealth().corrupt_lines, 1u);
+    EXPECT_EQ(reopened.storageHealth().quarantined_files, 1u);
+    EXPECT_TRUE(fs::exists(shard_path + ".corrupt"));
+}
+
+TEST_F(ArtifactDbTest, EverySuffixBitFlipIsRejected)
+{
+    // The CRC guards its own suffix too: no single-bit flip inside the 13
+    // bytes of "\tcrc=XXXXXXXX" leaves a line that loads.
+    const std::string framed =
+        io::withLineCrc(recordToLine(sampleRecords(task_, 1, 53)[0]));
+    const size_t suffix_at = framed.size() - 13;
+    ASSERT_EQ(framed.compare(suffix_at, 5, "\tcrc="), 0);
+    const fs::path shard = fs::path(root_) / "records" / "shard_0000.log";
+    size_t flips = 0;
+    for (size_t i = suffix_at; i < framed.size(); ++i) {
+        for (int bit = 0; bit < 8; ++bit, ++flips) {
+            std::string line = framed;
+            line[i] = static_cast<char>(line[i] ^ (1 << bit));
+            fs::remove_all(root_);
+            fs::create_directories(shard.parent_path());
+            {
+                std::ofstream out(shard, std::ios::binary);
+                out << line << "\n";
+            }
+            const ArtifactDb db(root_);
+            EXPECT_EQ(db.recordCount(), 0u)
+                << "bit " << bit << " of suffix byte " << i - suffix_at;
+            EXPECT_EQ(db.storageHealth().corrupt_lines, 1u);
+        }
+    }
+    EXPECT_EQ(flips, 104u);
 }
 
 TEST_F(ArtifactDbTest, MeasureCacheSnapshotIsByteDeterministic)
@@ -314,24 +344,76 @@ TEST_F(ArtifactDbTest, CrcMismatchedSnapshotIsQuarantined)
         (fs::path(root_) / "measure_cache.bin").string();
     MeasureCache cache;
     cache.insert(1, 2, 1e-4);
+    std::string good;
     {
         ArtifactDb db(root_);
         db.saveMeasureCache(cache);
+        good = readFileBytes(snapshot);
     }
-    // Flip one byte in the entry payload: the v2 header CRC must catch it.
+    // Header: magic (0..3), version (4..7), entry count (8..15), CRC of
+    // the entries (16..19); then one 24-byte entry.
+    ASSERT_EQ(good.size(), 20u + 24u);
+    struct Flip
     {
-        std::string bytes = readFileBytes(snapshot);
-        ASSERT_FALSE(bytes.empty());
-        bytes.back() = static_cast<char>(bytes.back() ^ 0x1);
-        std::ofstream out(snapshot, std::ios::binary | std::ios::trunc);
+        const char* what;
+        size_t byte;
+        unsigned mask;
+    };
+    const Flip flips[] = {
+        {"entry payload bit 0", good.size() - 1, 0x01}, // the CRC catches it
+        // count * 24 wraps back to the file size for bits 61..63, so only
+        // a size check by division rejects them.
+        {"entry count bit 61", 15, 0x20},
+        {"entry count bit 63", 15, 0x80},
+        {"version 2 -> 3", 4, 0x01},
+    };
+    for (const Flip& flip : flips) {
+        SCOPED_TRACE(flip.what);
+        std::string bytes = good;
+        bytes[flip.byte] = static_cast<char>(bytes[flip.byte] ^ flip.mask);
+        {
+            std::ofstream out(snapshot, std::ios::binary | std::ios::trunc);
+            out.write(bytes.data(),
+                      static_cast<std::streamsize>(bytes.size()));
+        }
+        fs::remove(snapshot + ".corrupt");
+        ArtifactDb reopened(root_);
+        MeasureCache restored;
+        EXPECT_EQ(reopened.loadMeasureCache(&restored), 0u);
+        EXPECT_EQ(restored.size(), 0u);
+        EXPECT_TRUE(fs::exists(snapshot + ".corrupt"));
+        EXPECT_EQ(reopened.storageHealth().quarantined_files, 1u);
+    }
+}
+
+TEST_F(ArtifactDbTest, V1SnapshotIsQuarantined)
+{
+    // The v1 layout (magic, version 1, count, entries, no CRC) is no
+    // longer written, so it loads as corrupt.
+    std::string bytes;
+    const auto put = [&bytes](uint64_t v, int n) {
+        for (int i = 0; i < n; ++i) {
+            bytes.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+        }
+    };
+    put(0x434D5250, 4);                     // magic "PRMC"
+    put(1, 4);                              // version 1
+    put(1, 8);                              // one entry:
+    put(1, 8);                              //   task hash
+    put(2, 8);                              //   schedule hash
+    put(std::bit_cast<uint64_t>(1e-4), 8); //   latency bits
+    ArtifactDb db(root_);
+    const std::string snapshot =
+        (fs::path(root_) / "measure_cache.bin").string();
+    {
+        std::ofstream out(snapshot, std::ios::binary);
         out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     }
-    ArtifactDb reopened(root_);
     MeasureCache restored;
-    EXPECT_EQ(reopened.loadMeasureCache(&restored), 0u);
+    EXPECT_EQ(db.loadMeasureCache(&restored), 0u);
     EXPECT_EQ(restored.size(), 0u);
     EXPECT_TRUE(fs::exists(snapshot + ".corrupt"));
-    EXPECT_EQ(reopened.storageHealth().quarantined_files, 1u);
+    EXPECT_EQ(db.storageHealth().quarantined_files, 1u);
 }
 
 TEST_F(ArtifactDbTest, UnwritableRootDegradesToDisabledStore)
@@ -377,6 +459,27 @@ TEST_F(ArtifactDbTest, EnospcInjectedSnapshotSaveDegradesToWarning)
     db.saveMeasureCache(cache);
     MeasureCache restored;
     EXPECT_EQ(db.loadMeasureCache(&restored), 1u);
+}
+
+TEST_F(ArtifactDbTest, EnospcInjectedModelSaveDegradesToWarning)
+{
+    ArtifactDb db(root_);
+    const std::string path =
+        (fs::path(root_) / "models" / "key.params").string();
+    io::IoFaultPlan plan;
+    plan.fault_kind = io::IoFaultKind::NoSpace;
+    plan.fault_rate = 1.0;
+    io::setIoFaultPlan(plan);
+    db.saveModelParams("key", {1.0, 2.0}); // must not throw
+    io::clearIoFaultPlan();
+    EXPECT_FALSE(fs::exists(path));
+    EXPECT_FALSE(fs::exists(path + ".tmp"));
+    EXPECT_EQ(db.storageHealth().io_failures, 1u);
+    // Storage recovered: the next save lands.
+    db.saveModelParams("key", {1.0, 2.0});
+    const auto loaded = db.tryLoadModelParams("key");
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(*loaded, (std::vector<double>{1.0, 2.0}));
 }
 
 TEST_F(ArtifactDbTest, EnospcInjectedRecordAppendKeepsTuningAlive)

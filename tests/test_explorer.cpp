@@ -316,6 +316,31 @@ TEST(Explorer, MakeExplorerBuildsEvolutionAndGbt)
     EXPECT_EQ(gbt->spec().config(), kGbtGoldenConfig);
 }
 
+/** A gbt state blob round-trips; a truncated or foreign blob is a
+ *  FatalError, as a truncated checkpoint line is. */
+TEST(Explorer, GbtStateBlobRoundTripsAndRejectsTruncation)
+{
+    std::string blob = "gbt1";
+    const auto put = [&blob](const std::string& token) {
+        blob += ' ';
+        blob += token;
+    };
+    put(hexU64(1));
+    put(doubleBits(1e-4));
+    for (size_t c = 0; c < kGbtFeatureDim; ++c) {
+        put(doubleBits(0.25 * static_cast<double>(c)));
+    }
+    const auto gbt = makeExplorer("gbt", kGbtGoldenConfig);
+    gbt->restoreState(blob);
+    EXPECT_EQ(gbt->serializeState(), blob);
+    EXPECT_THROW(gbt->restoreState(blob.substr(0, blob.rfind(' '))),
+                 FatalError);
+    EXPECT_THROW(gbt->restoreState("gbt1"), FatalError);
+    EXPECT_THROW(gbt->restoreState("gbt2 0000000000000000"), FatalError);
+    // A count the blob cannot hold is truncation too, not an allocation.
+    EXPECT_THROW(gbt->restoreState("gbt1 0000010000000000"), FatalError);
+}
+
 TEST(Explorer, SpecParsesTypedValuesAndRejectsMalformedPairs)
 {
     const ExplorerSpec spec("gbt", "trees=16,min_records=20,lr=0.5,"

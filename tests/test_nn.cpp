@@ -7,7 +7,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <limits>
 #include <string>
 
@@ -760,19 +759,25 @@ TEST(Optimizer, MomentumUpdateInterpolates)
     EXPECT_DOUBLE_EQ(siamese[0], 2.0);
 }
 
-TEST(Serialize, FileRoundTrip)
+TEST(Serialize, StringRoundTrip)
 {
-    const std::string path = "/tmp/pruner_test_params.txt";
-    const std::vector<double> flat{1.5, -2.25, 3.125e-7, 0.0};
-    saveParams(path, flat);
-    EXPECT_EQ(loadParams(path), flat);
-    std::filesystem::remove(path);
+    // The count, then one value per line at precision 17.
+    EXPECT_EQ(encodeParams({1.5, -2.25, 0.1}),
+              "3\n1.5\n-2.25\n0.10000000000000001\n");
+    const std::vector<double> flat{1.5, -2.25, 3.125e-7, 0.0, 0.1};
+    EXPECT_EQ(decodeParams(encodeParams(flat)), flat);
+    EXPECT_EQ(decodeParams(encodeParams({})), std::vector<double>{});
 }
 
-TEST(Serialize, MissingFileThrows)
+TEST(Serialize, TruncatedTextThrows)
 {
-    EXPECT_THROW(loadParams("/tmp/definitely_missing_params.txt"),
-                 FatalError);
+    const std::string text = encodeParams({1.5, -2.25, 0.1});
+    EXPECT_THROW(decodeParams(text.substr(0, text.find("0.1"))), FatalError);
+    EXPECT_THROW(decodeParams(""), FatalError);
+    EXPECT_THROW(decodeParams("x\n"), FatalError);
+    EXPECT_THROW(decodeParams(text + "7\n"), FatalError); // trailing data
+    // A count the text cannot hold never drives the allocation.
+    EXPECT_THROW(decodeParams("200000000\n1\n"), FatalError);
 }
 
 TEST(Training, TinyMlpLearnsRankingSignal)

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "baselines/ansor.hpp"
+#include "baselines/tenset_mlp.hpp"
 #include "core/pruner_tuner.hpp"
 #include "cost/pacm_model.hpp"
 #include "ir/workload_registry.hpp"
@@ -284,22 +285,29 @@ TEST(Replay, CrcMismatchTruncatesLogAtCorruption)
     const SessionLog recorded = record(policy, w, opts);
 
     const std::string path = "/tmp/pruner_test_corrupt_session.log";
-    std::filesystem::remove(path);
-    recorded.save(path);
-    // Flip one payload byte in the final (end) line: its CRC no longer
-    // matches, the loader truncates there, and parse correctly rejects
-    // the now-incomplete session instead of replaying corrupt data.
-    {
-        std::fstream file(path,
-                          std::ios::in | std::ios::out | std::ios::binary);
-        std::string bytes((std::istreambuf_iterator<char>(file)),
-                          std::istreambuf_iterator<char>());
-        const size_t end_pos = bytes.rfind("\nend\t");
-        ASSERT_NE(end_pos, std::string::npos);
-        file.seekp(static_cast<std::streamoff>(end_pos + 2));
-        file.put('N'); // "end" -> "eNd"
+    // Break the final (end) line two ways: a flipped payload byte under an
+    // intact suffix, and a broken suffix. Either way the line has no valid
+    // CRC, the loader truncates there, and parse correctly rejects the
+    // now-incomplete session instead of replaying corrupt data.
+    for (const bool break_suffix : {false, true}) {
+        SCOPED_TRACE(break_suffix ? "crc= -> cRc=" : "end -> eNd");
+        std::filesystem::remove(path);
+        recorded.save(path);
+        {
+            std::fstream file(
+                path, std::ios::in | std::ios::out | std::ios::binary);
+            std::string bytes((std::istreambuf_iterator<char>(file)),
+                              std::istreambuf_iterator<char>());
+            const size_t end_pos = bytes.rfind("\nend\t");
+            ASSERT_NE(end_pos, std::string::npos);
+            const size_t at = break_suffix
+                                  ? bytes.find("\tcrc=", end_pos) + 2
+                                  : end_pos + 2;
+            file.seekp(static_cast<std::streamoff>(at));
+            file.put(break_suffix ? 'R' : 'N');
+        }
+        EXPECT_THROW(SessionLog::load(path), FatalError);
     }
-    EXPECT_THROW(SessionLog::load(path), FatalError);
     std::filesystem::remove(path);
 }
 
@@ -372,14 +380,30 @@ TEST(Replay, UnknownFactoryAndPretrainedSessionsAreRefused)
         }
     };
 
+    /** @p text with its one occurrence of @p field replaced. */
+    const auto edited = [](std::string text, const std::string& field,
+                           const std::string& replacement) {
+        const size_t at = text.find(field);
+        EXPECT_NE(at, std::string::npos) << field;
+        if (at != std::string::npos) {
+            text.replace(at, field.size(), replacement);
+        }
+        return SessionLog::parse(text);
+    };
+
     PrunerPolicy policy(dev, smallPrunerConfig());
-    std::string text = record(policy, w, opts).serialize();
-    const std::string pruner_key = "\tfactory=Pruner\t";
-    const size_t at = text.find(pruner_key);
-    ASSERT_NE(at, std::string::npos);
-    text.replace(at, pruner_key.size(), "\tfactory=Roller\t");
-    expectRefused(SessionLog::parse(text),
+    const std::string text = record(policy, w, opts).serialize();
+    expectRefused(edited(text, "\tfactory=Pruner\t", "\tfactory=Roller\t"),
                   "no factory registered for 'Roller'");
+    // Every recorder writes the explorer fields and Pruner, TenSetMLP and
+    // TLP write pretrained=, so a policycfg without them is refused
+    // rather than replayed under a guessed default.
+    expectRefused(edited(text, "\texplorer=evolution\texplorercfg=-", ""),
+                  "missing field 'explorer'");
+    auto mlp = baselines::makeTenSetMlp(dev, 5, {}, true);
+    expectRefused(
+        edited(record(*mlp, w, opts).serialize(), "\tpretrained=0", ""),
+        "missing field 'pretrained'");
 
     PrunerConfig config = smallPrunerConfig();
     config.pretrained = PaCMModel(dev, 1).getParams();

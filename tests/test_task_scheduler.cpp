@@ -4,12 +4,10 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "baselines/ansor.hpp"
@@ -17,7 +15,6 @@
 #include "cost/async_trainer.hpp"
 #include "cost/pacm_model.hpp"
 #include "ir/workload_registry.hpp"
-#include "nn/param_buffer.hpp"
 #include "search/measurer.hpp"
 #include "search/task_scheduler.hpp"
 #include "sim/gpu_simulator.hpp"
@@ -456,53 +453,6 @@ TEST(ShardedRound, ChargesOneTaskSwitchPerMultiTaskRound)
 }
 
 // ----------------------------------------------------------- async training
-
-TEST(AsyncTraining, DoubleBufferNeverTearsUnderConcurrency)
-{
-    DoubleBufferedParams buf;
-    constexpr size_t kDim = 2048;
-    constexpr int kVersions = 400;
-    std::atomic<bool> stop{false};
-    std::atomic<int> torn{0};
-
-    std::vector<std::thread> readers;
-    for (int r = 0; r < 3; ++r) {
-        readers.emplace_back([&]() {
-            std::vector<double> snap;
-            while (!stop.load(std::memory_order_acquire)) {
-                if (!buf.consume(&snap)) {
-                    continue;
-                }
-                // Every published vector is uniform: observing two
-                // different values in one snapshot means a torn read.
-                for (const double v : snap) {
-                    if (v != snap.front()) {
-                        torn.fetch_add(1);
-                        break;
-                    }
-                }
-            }
-        });
-    }
-    for (int version = 1; version <= kVersions; ++version) {
-        buf.publish(
-            std::vector<double>(kDim, static_cast<double>(version)));
-    }
-    stop.store(true, std::memory_order_release);
-    for (auto& t : readers) {
-        t.join();
-    }
-    EXPECT_EQ(torn.load(), 0);
-    EXPECT_EQ(buf.version(), static_cast<uint64_t>(kVersions));
-
-    // The final consume sees the last committed snapshot.
-    std::vector<double> last;
-    DoubleBufferedParams fresh;
-    fresh.publish(std::vector<double>(8, 42.0));
-    ASSERT_TRUE(fresh.consume(&last));
-    EXPECT_EQ(last, std::vector<double>(8, 42.0));
-    EXPECT_FALSE(fresh.consume(&last)); // no newer version
-}
 
 TEST(AsyncTraining, TrainerMatchesSynchronousUpdate)
 {

@@ -108,7 +108,9 @@ class CostModel
     {
         obs::Counter* infer_batches = nullptr;    ///< predict calls
         obs::Counter* infer_candidates = nullptr; ///< rows scored
-        obs::Counter* infer_pack_rows = nullptr;  ///< packed GEMM rows
+        /// Logical feature rows packed, padding included: PaCM's
+        /// padding-row elision shrinks the GEMMs, not this count.
+        obs::Counter* infer_pack_rows = nullptr;
         obs::Counter* infer_segments = nullptr;   ///< segments packed
         obs::Counter* infer_alias_segments = nullptr; ///< aliased (deduped)
         obs::Counter* train_groups = nullptr;     ///< LambdaRank groups fit

@@ -68,7 +68,8 @@ PaCMModel::scoreOne(const SubgraphTask& task, const Schedule& sch) const
 void
 PaCMModel::scoreBatch(const Matrix& stmt_pack,
                       const SegmentTable& stmt_segs, const Matrix& flow_pack,
-                      const SegmentTable& flow_segs, size_t n,
+                      const SegmentTable& flow_segs,
+                      std::span<const size_t> flow_map, size_t n,
                       Workspace& ws, TrainCaches* caches, double* out) const
 {
     Matrix& fused = ws.allocZero(n, 2 * kHidden);
@@ -86,7 +87,7 @@ PaCMModel::scoreBatch(const Matrix& stmt_pack,
             flow_pack, ws, caches != nullptr ? &caches->flow_acts : nullptr);
         const Matrix& ctx = attn_.forwardBatch(
             embedded, flow_segs, ws,
-            caches != nullptr ? &caches->attn : nullptr);
+            caches != nullptr ? &caches->attn : nullptr, flow_map);
         Matrix& pooled = ws.alloc(n, kHidden);
         segmentColMean(ctx, flow_segs, pooled);
         placeBranch(pooled, kHidden, fused);
@@ -117,14 +118,16 @@ PaCMModel::predictInto(const SubgraphTask& task,
     SegmentTable& flow_segs = ws.allocSegments();
 
     // One symbol extraction feeds both branches (scoreOne pays it twice).
-    // Bitwise-identical dataflow blocks (duplicate candidates in a
-    // population, low-diversity tasks) are packed once and aliased by
-    // every later copy: the embedding GEMM shrinks and the attention core
-    // runs once per distinct block, with — identical input rows producing
-    // identical output rows — not a single output byte moving.
+    // The dataflow pack holds each distinct block's emitted steps once
+    // plus one shared pad row (appendDataflowBlock): duplicate blocks
+    // alias, and every padding row maps to the pad row, so the embedding
+    // and Q/K/V GEMMs run over distinct rows only. Identical input rows
+    // produce identical output rows, so not a single output byte moves.
     static thread_local SymbolSet sym;
     static thread_local DataflowBlockIndex seen_blocks;
+    static thread_local DataflowRowMap flow_map;
     seen_blocks.clear();
+    flow_map.clear();
     for (const Schedule& sch : candidates) {
         extractSymbolsInto(task, sch, sym);
         if (cfg_.use_statement_features) {
@@ -136,20 +139,16 @@ PaCMModel::predictInto(const SubgraphTask& task,
             stmt_segs.append(sym.statements.size());
         }
         if (cfg_.use_dataflow_features) {
-            const size_t row0 = flow_pack.rows();
-            flow_pack.resize(row0 + kDataflowSteps, kDataflowFeatureDim);
-            writeDataflowFeatureRows(sym, task, sch, device_, flow_pack,
-                                     row0);
-            appendOrAliasDataflowBlock(flow_pack, flow_segs, row0,
-                                       seen_blocks);
+            appendDataflowBlock(sym, task, sch, device_, flow_pack,
+                                flow_segs, seen_blocks, &flow_map);
         }
     }
-    scoreBatch(stmt_pack, stmt_segs, flow_pack, flow_segs,
+    scoreBatch(stmt_pack, stmt_segs, flow_pack, flow_segs, flow_map,
                candidates.size(), ws, nullptr, out);
     obs::counterAdd(obs_counters_.infer_batches);
     obs::counterAdd(obs_counters_.infer_candidates, candidates.size());
     obs::counterAdd(obs_counters_.infer_pack_rows,
-                    stmt_pack.rows() + flow_pack.rows());
+                    stmt_pack.rows() + flow_segs.totalRows());
     obs::counterAdd(obs_counters_.infer_segments,
                     stmt_segs.count() + flow_segs.count());
     obs::counterAdd(obs_counters_.infer_alias_segments,
@@ -226,8 +225,8 @@ PaCMModel::scoreSubset(const Memo& memo, const std::vector<size_t>& subset,
             flow_segs.append(kDataflowSteps);
         }
     }
-    scoreBatch(stmt_pack, stmt_segs, flow_pack, flow_segs, subset.size(),
-               ws, caches, out);
+    scoreBatch(stmt_pack, stmt_segs, flow_pack, flow_segs, {},
+               subset.size(), ws, caches, out);
 }
 
 void

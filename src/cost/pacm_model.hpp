@@ -101,11 +101,13 @@ class PaCMModel : public CostModel
      *  features -> n scores, behind predictInto and both trainers. With
      *  @p caches both branches' intermediates land there for fitBatch;
      *  null means inference, where @p flow_segs may alias duplicate
-     *  dataflow blocks. */
+     *  dataflow blocks and a non-empty @p flow_map says which
+     *  @p flow_pack row holds each logical dataflow row (padding-row
+     *  elision; see appendDataflowBlock). */
     void scoreBatch(const Matrix& stmt_pack, const SegmentTable& stmt_segs,
                     const Matrix& flow_pack, const SegmentTable& flow_segs,
-                    size_t n, Workspace& ws, TrainCaches* caches,
-                    double* out) const;
+                    std::span<const size_t> flow_map, size_t n,
+                    Workspace& ws, TrainCaches* caches, double* out) const;
     /** Extract every record's features once for a whole train() call;
      *  the trajectory is byte-identical to re-extracting per record. */
     Memo memoize(const std::vector<MeasuredRecord>& records) const;

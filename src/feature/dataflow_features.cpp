@@ -84,7 +84,7 @@ extractDataflowFeatures(const SubgraphTask& task, const Schedule& sch,
     return feat;
 }
 
-void
+size_t
 writeDataflowFeatureRows(const SymbolSet& sym, const SubgraphTask& task,
                          const Schedule& sch, const DeviceSpec& device,
                          Matrix& out, size_t row0)
@@ -164,32 +164,48 @@ writeDataflowFeatureRows(const SymbolSet& sym, const SubgraphTask& task,
 
     // Remaining rows stay zero (the paper's zero-padding for element-wise
     // operators and short movement chains).
+    return w.step;
 }
 
 void
-appendOrAliasDataflowBlock(Matrix& out, SegmentTable& segs, size_t row0,
-                           DataflowBlockIndex& seen)
+appendDataflowBlock(const SymbolSet& sym, const SubgraphTask& task,
+                    const Schedule& sch, const DeviceSpec& device,
+                    Matrix& out, SegmentTable& segs,
+                    DataflowBlockIndex& seen, DataflowRowMap* map)
 {
-    constexpr size_t kBlockDoubles = kDataflowSteps * kDataflowFeatureDim;
+    if (map != nullptr && segs.count() == 0) {
+        out.resize(1, kDataflowFeatureDim);
+        out.zero(); // the shared pad row
+    }
+    const size_t row0 = out.rows();
+    out.resize(row0 + kDataflowSteps, kDataflowFeatureDim);
+    const size_t steps =
+        writeDataflowFeatureRows(sym, task, sch, device, out, row0);
+    const size_t n = steps * kDataflowFeatureDim;
     const double* block = out.row(row0);
     // Bit-pattern hash (memcmp semantics: -0.0 != +0.0, NaNs compare by
     // payload — exactly the equality aliasing is sound under).
-    uint64_t h = 0x9E3779B97F4A7C15ull;
-    for (size_t e = 0; e < kBlockDoubles; ++e) {
+    uint64_t h = hashCombine(0x9E3779B97F4A7C15ull, steps);
+    for (size_t e = 0; e < n; ++e) {
         uint64_t bits;
         std::memcpy(&bits, &block[e], sizeof(bits));
         h = hashCombine(h, bits);
     }
-    for (const auto& [hash, begin] : seen) {
-        if (hash == h &&
-            std::memcmp(out.row(begin), block,
-                        kBlockDoubles * sizeof(double)) == 0) {
+    for (const DataflowBlockKey& key : seen) {
+        if (key.hash == h && key.steps == steps &&
+            std::memcmp(out.row(key.row), block, n * sizeof(double)) == 0) {
             out.resize(row0, kDataflowFeatureDim);
-            segs.appendAlias(begin, kDataflowSteps);
+            segs.appendAlias(key.begin, kDataflowSteps);
             return;
         }
     }
-    seen.emplace_back(h, row0);
+    seen.push_back({h, segs.totalRows(), row0, steps});
+    if (map != nullptr) {
+        out.resize(row0 + steps, kDataflowFeatureDim);
+        for (size_t r = 0; r < kDataflowSteps; ++r) {
+            map->push_back(r < steps ? row0 + r : 0);
+        }
+    }
     segs.append(kDataflowSteps);
 }
 
@@ -206,10 +222,7 @@ extractDataflowFeaturesBatch(const SubgraphTask& task,
     seen.clear();
     for (const Schedule& sch : candidates) {
         extractSymbolsInto(task, sch, sym);
-        const size_t row0 = out.rows();
-        out.resize(row0 + kDataflowSteps, kDataflowFeatureDim);
-        writeDataflowFeatureRows(sym, task, sch, device, out, row0);
-        appendOrAliasDataflowBlock(out, segs, row0, seen);
+        appendDataflowBlock(sym, task, sch, device, out, segs, seen);
     }
 }
 

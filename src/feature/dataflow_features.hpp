@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "core/symbols.hpp"
@@ -38,37 +37,62 @@ constexpr size_t kDataflowSteps = 10;
 Matrix extractDataflowFeatures(const SubgraphTask& task, const Schedule& sch,
                                const DeviceSpec& device);
 
-/** Write one candidate's kDataflowSteps rows (from its already-extracted
+/** Write one candidate's dataflow rows (from its already-extracted
  *  symbols) into @p out at rows [row0, row0 + kDataflowSteps), which must
- *  exist and be zero-filled (the padding rows stay zero). */
-void writeDataflowFeatureRows(const SymbolSet& sym, const SubgraphTask& task,
-                              const Schedule& sch, const DeviceSpec& device,
-                              Matrix& out, size_t row0);
+ *  exist and be zero-filled. Returns the number of steps it emitted (at
+ *  most kDataflowSteps): the rows past them stay zero, the padding. Every
+ *  emitted row carries a one-hot flow direction, so it is never all
+ *  zero. */
+size_t writeDataflowFeatureRows(const SymbolSet& sym, const SubgraphTask& task,
+                                const Schedule& sch, const DeviceSpec& device,
+                                Matrix& out, size_t row0);
 
-/** Pack every candidate's dataflow rows into @p out (reshaped in place)
- *  with fixed-stride segments recorded in @p segs. Bitwise-identical
- *  blocks — duplicate candidates in a population, or low-diversity tasks
- *  whose dataflow rows depend on few schedule knobs — are packed once and
- *  aliased (SegmentTable::appendAlias), so downstream GEMMs and attention
- *  cores shrink with no output-byte change. */
+/** Logical -> pack row map of a padding-elided dataflow pack: entry l
+ *  names the pack row that holds logical row l. */
+using DataflowRowMap = std::vector<size_t>;
+
+/** One distinct block of a dataflow pack, as the dedup index keeps it. */
+struct DataflowBlockKey
+{
+    uint64_t hash; ///< hash of the step count and the emitted rows' bits
+    size_t begin;  ///< first logical row (the segment's begin)
+    size_t row;    ///< pack row of the first emitted step
+    size_t steps;  ///< emitted steps
+};
+
+/** Reused scratch for the dataflow block dedup; clear() it at the start of
+ *  each batch. */
+using DataflowBlockIndex = std::vector<DataflowBlockKey>;
+
+/**
+ * Append one candidate's dataflow block (from its already-extracted
+ * symbols) to a batch pack: its kDataflowSteps logical rows become one
+ * segment of @p segs. A block bitwise identical to one packed earlier in
+ * the batch — a duplicate candidate, or a low-diversity task whose
+ * dataflow rows depend on few schedule knobs — is not packed again: its
+ * segment aliases the earlier one (SegmentTable::appendAlias), and
+ * identical input rows produce identical output rows, so no output byte
+ * moves. Only the emitted steps are hashed and compared; the padding is
+ * zero in every block.
+ *
+ * Without @p map every logical row is a pack row, padding included, and
+ * @p segs indexes @p out directly. With @p map, @p out holds only the
+ * emitted steps plus one shared all-zero pad row at pack row 0 (written
+ * with the batch's first block), and @p map gains one entry per new
+ * logical row: the pack row that holds it, 0 for every padding row.
+ */
+void appendDataflowBlock(const SymbolSet& sym, const SubgraphTask& task,
+                         const Schedule& sch, const DeviceSpec& device,
+                         Matrix& out, SegmentTable& segs,
+                         DataflowBlockIndex& seen,
+                         DataflowRowMap* map = nullptr);
+
+/** Pack every candidate's dataflow rows, padding included, into @p out
+ *  (reshaped in place) through appendDataflowBlock, with fixed-stride
+ *  segments recorded in @p segs. */
 void extractDataflowFeaturesBatch(const SubgraphTask& task,
                                   std::span<const Schedule> candidates,
                                   const DeviceSpec& device, Matrix& out,
                                   SegmentTable& segs);
-
-/** Reused (block hash, first pack row) scratch for the dataflow block
- *  dedup; clear() it at the start of each batch. */
-using DataflowBlockIndex = std::vector<std::pair<uint64_t, size_t>>;
-
-/**
- * Dedup step shared by the dataflow packers: after a candidate's
- * kDataflowSteps rows were written at @p row0 (the current pack end),
- * either keep them (appending a normal segment) or — when a previously
- * packed block is bitwise identical — roll the pack back and alias the
- * earlier block's rows. Aliasing bitwise-equal rows cannot change any
- * output byte (identical input rows produce identical output rows).
- */
-void appendOrAliasDataflowBlock(Matrix& out, SegmentTable& segs,
-                                size_t row0, DataflowBlockIndex& seen);
 
 } // namespace pruner

@@ -54,10 +54,15 @@ SelfAttention::inferReference(const Matrix& x) const
 
 const Matrix&
 SelfAttention::forwardBatch(const Matrix& x, const SegmentTable& segs,
-                            Workspace& ws, AttentionBatchCache* cache) const
+                            Workspace& ws, AttentionBatchCache* cache,
+                            std::span<const size_t> row_map) const
 {
     PRUNER_CHECK(x.cols() == dim_);
-    PRUNER_CHECK(segs.totalRows() == x.rows());
+    const bool mapped = !row_map.empty();
+    PRUNER_CHECK_MSG(!mapped || cache == nullptr,
+                     "a row-mapped attention pack is inference-only");
+    const size_t rows = mapped ? row_map.size() : x.rows();
+    PRUNER_CHECK(segs.totalRows() == rows);
     Matrix& q = ws.alloc(x.rows(), dim_);
     Matrix& k = ws.alloc(x.rows(), dim_);
     Matrix& v = ws.alloc(x.rows(), dim_);
@@ -78,9 +83,14 @@ SelfAttention::forwardBatch(const Matrix& x, const SegmentTable& segs,
         }
     }
     Matrix& attn = ws.alloc(cache != nullptr ? 1 : 0, total);
-    Matrix& ctx = ws.alloc(x.rows(), dim_);
+    Matrix& ctx = ws.alloc(rows, dim_);
+    // A mapped pack's per-segment Q, K and V rows, gathered through the
+    // map so the core below reads them as it reads an unmapped pack's.
+    Matrix* qg = mapped ? &ws.alloc(0, dim_) : nullptr;
+    Matrix* kg = mapped ? &ws.alloc(0, dim_) : nullptr;
+    Matrix* vg = mapped ? &ws.alloc(0, dim_) : nullptr;
     const double inv_sqrt_d = 1.0 / std::sqrt(static_cast<double>(dim_));
-    size_t done = 0; // pack rows already attended (aliased blocks skip)
+    size_t done = 0; // logical rows already attended (aliased blocks skip)
     for (size_t s = 0; s < segs.count(); ++s) {
         const size_t b = segs.begin(s);
         const size_t t = segs.rows(s);
@@ -95,20 +105,39 @@ SelfAttention::forwardBatch(const Matrix& x, const SegmentTable& segs,
         }
         double* ablock =
             attn.row(0) + (cache != nullptr ? cache->attn_off[s] : 0);
-        // Q K^T off the row-major K pack (nnkernel::matmulNT): C[i][j]
+        const double* qb = nullptr;
+        const double* kb = nullptr;
+        const double* vb = nullptr;
+        if (mapped) {
+            qg->resize(t, dim_);
+            kg->resize(t, dim_);
+            vg->resize(t, dim_);
+            for (size_t i = 0; i < t; ++i) {
+                const size_t src = row_map[b + i];
+                std::copy_n(q.row(src), dim_, qg->row(i));
+                std::copy_n(k.row(src), dim_, kg->row(i));
+                std::copy_n(v.row(src), dim_, vg->row(i));
+            }
+            qb = qg->row(0);
+            kb = kg->row(0);
+            vb = vg->row(0);
+        } else {
+            qb = q.row(b);
+            kb = k.row(b);
+            vb = v.row(b);
+        }
+        // Q K^T off the row-major K block (nnkernel::matmulNT): C[i][j]
         // accumulates Q[i][kk] * K[j][kk] over ascending kk, the
         // reference path's exact core.
-        nnkernel::matmulNT(q.row(b), t, dim_, dim_, k.row(b), t, dim_,
-                           ablock, t);
+        nnkernel::matmulNT(qb, t, dim_, dim_, kb, t, dim_, ablock, t);
         for (size_t e = 0; e < t * t; ++e) {
             ablock[e] *= inv_sqrt_d;
         }
         nnkernel::softmaxRows(ablock, t, t);
-        nnkernel::matmul(ablock, t, t, t, v.row(b), dim_, dim_, ctx.row(b),
-                         dim_);
+        nnkernel::matmul(ablock, t, t, t, vb, dim_, dim_, ctx.row(b), dim_);
         done = b + t;
     }
-    Matrix& out = ws.alloc(x.rows(), dim_);
+    Matrix& out = ws.alloc(rows, dim_);
     wo_.inferInto(ctx, out);
     if (cache != nullptr) {
         cache->x = &x;

@@ -10,6 +10,8 @@
  * few dozen for every feature type in this system).
  */
 
+#include <span>
+
 #include "nn/layers.hpp"
 
 namespace pruner {
@@ -54,7 +56,8 @@ class SelfAttention
      * (attention must not leak across candidates, so the scores matrix is
      * block-diagonal by construction). Intermediates come from @p ws; each
      * segment's output rows are byte-identical to inferReference() on that
-     * segment alone. Returns a workspace-owned [x.rows, dim] matrix.
+     * segment alone. Returns a workspace-owned [segs.totalRows(), dim]
+     * matrix.
      *
      * The one forward for inference and training. With @p cache, the
      * projection packs and every segment's softmax block are kept there
@@ -65,10 +68,22 @@ class SelfAttention
      * byte-level no-op. The skip never fires on a contiguous table.
      * Aliased tables are inference-only: an aliased segment's softmax
      * block is never written, and backwardBatch rejects the table.
+     *
+     * A non-empty @p row_map lets several logical rows share one row of
+     * @p x (padding-row elision, see DataflowRowMap): @p segs then
+     * indexes logical rows, logical row l is x row row_map[l], and the
+     * map holds segs.totalRows() entries. Q, K and V are projected once
+     * per x row; each segment's Q, K and V blocks are gathered through
+     * the map into scratch and run the unchanged core, and the context,
+     * output projection and result keep one row per logical row. GEMM
+     * rows do not depend on their position, so the result is
+     * byte-identical to the forward over the expanded rows. Mapped packs
+     * are inference-only: @p cache must be null.
      */
     const Matrix& forwardBatch(const Matrix& x, const SegmentTable& segs,
                                Workspace& ws,
-                               AttentionBatchCache* cache = nullptr) const;
+                               AttentionBatchCache* cache = nullptr,
+                               std::span<const size_t> row_map = {}) const;
 
     /**
      * Segment-aware batched backward: the four projections' dW/db

@@ -148,7 +148,6 @@ getRoundStats(TokenReader& in)
     obs::RoundStats r;
     r.round = static_cast<int>(in.sdec());
     const uint64_t n_tasks = in.dec();
-    r.tasks.reserve(n_tasks);
     for (uint64_t i = 0; i < n_tasks; ++i) {
         r.tasks.push_back(static_cast<size_t>(in.dec()));
     }
@@ -204,7 +203,6 @@ getDoubles(TokenReader& in)
 {
     const uint64_t n = in.dec();
     std::vector<double> values;
-    values.reserve(n);
     for (uint64_t i = 0; i < n; ++i) {
         values.push_back(in.f64());
     }
@@ -570,7 +568,6 @@ decodeCheckpoint(const std::string& text)
             cp.measurer.rng = getRng(in);
             cp.measurer.batch_index = in.u64();
             const uint64_t n = in.dec();
-            cp.measurer.fault_attempts.reserve(n);
             for (uint64_t i = 0; i < n; ++i) {
                 const uint64_t key = in.u64();
                 const auto attempts = static_cast<uint32_t>(in.dec());
@@ -580,14 +577,11 @@ decodeCheckpoint(const std::string& text)
             cp.scheduler.round_robin_cursor =
                 static_cast<size_t>(in.dec());
             const uint64_t n_tasks = in.dec();
-            cp.scheduler.rounds.reserve(n_tasks);
-            cp.scheduler.history.reserve(n_tasks);
             for (uint64_t i = 0; i < n_tasks; ++i) {
                 cp.scheduler.rounds.push_back(
                     static_cast<size_t>(in.dec()));
                 const uint64_t hist_len = in.dec();
                 std::vector<double> hist;
-                hist.reserve(hist_len);
                 for (uint64_t j = 0; j < hist_len; ++j) {
                     hist.push_back(in.f64());
                 }
@@ -623,11 +617,9 @@ decodeCheckpoint(const std::string& text)
             hist.name = in.next();
             hist.channel = obs::MetricChannel::Deterministic;
             const uint64_t n_bounds = in.dec();
-            hist.bounds.reserve(n_bounds);
             for (uint64_t i = 0; i < n_bounds; ++i) {
                 hist.bounds.push_back(in.dec());
             }
-            hist.bucket_counts.reserve(n_bounds + 1);
             for (uint64_t i = 0; i < n_bounds + 1; ++i) {
                 hist.bucket_counts.push_back(in.dec());
             }

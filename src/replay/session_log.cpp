@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cstdint>
 #include <sstream>
 
 #include "support/io.hpp"
@@ -111,7 +112,11 @@ TokenReader::dec()
         if (c < '0' || c > '9') {
             PRUNER_FATAL("bad integer '" << t << "'");
         }
-        value = value * 10 + static_cast<uint64_t>(c - '0');
+        const auto digit = static_cast<uint64_t>(c - '0');
+        if (value > (UINT64_MAX - digit) / 10) {
+            PRUNER_FATAL("integer '" << t << "' overflows 64 bits");
+        }
+        value = value * 10 + digit;
     }
     return value;
 }
@@ -127,8 +132,11 @@ TokenReader::sdec()
         neg = true;
         ++pos_;
     }
-    const int64_t mag = static_cast<int64_t>(dec());
-    return neg ? -mag : mag;
+    const uint64_t mag = dec();
+    if (mag > static_cast<uint64_t>(INT64_MAX) + (neg ? 1 : 0)) {
+        PRUNER_FATAL("integer overflows 64 bits");
+    }
+    return neg ? static_cast<int64_t>(0 - mag) : static_cast<int64_t>(mag);
 }
 
 std::string

@@ -83,9 +83,11 @@ class TokenReader
     uint64_t u64() { return parseHexU64(next()); }
     /** The next token as a doubleBits() pattern. */
     double f64() { return bitsToDouble(next()); }
-    /** The next token as an unsigned decimal. */
+    /** The next token as an unsigned decimal; FatalError when it does
+     *  not fit 64 bits. */
     uint64_t dec();
-    /** The next token as a decimal with an optional leading '-'. */
+    /** The next token as a decimal with an optional leading '-';
+     *  FatalError when it does not fit int64_t. */
     int64_t sdec();
 
   private:

@@ -2,7 +2,8 @@
  * Tests for the batched segmented cost-model inference engine:
  *  - batched predict() is byte-identical to the per-candidate reference
  *    path for all three learned models (empty / single / 512-candidate
- *    batches, 1 and 4 scoring workers),
+ *    batches, 1 and 4 scoring workers), and for PaCM across dataflow
+ *    padding depths (elementwise, conv2d, reduction tasks),
  *  - identity survives training (trained weights, not just fresh init),
  *  - segment pooling is consistent with the per-candidate broadcast
  *    gradients (numeric gradient check through the batched forward),
@@ -13,10 +14,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <new>
 #include <span>
 #include <vector>
@@ -102,14 +105,45 @@ testTask()
     return task;
 }
 
+/** One task per dataflow shape beyond testTask()'s GEMM (4 padding
+ *  rows): an elementwise chain (at least 6), a conv2d with a fused tail,
+ *  and a reduction. */
+const std::vector<SubgraphTask>&
+paddingTasks()
+{
+    static const std::vector<SubgraphTask> tasks{
+        makeElementwise("pe", 1 << 20),
+        makeConv2d("pc", 1, 28, 28, 64, 64, 3, 1, DType::Fp32,
+                   /*fused_tail=*/true),
+        makeReductionOp("pr", 4096, 768),
+    };
+    return tasks;
+}
+
 std::vector<Schedule>
-sampleSchedules(size_t n, uint64_t seed = 91)
+sampleSchedules(size_t n, uint64_t seed = 91,
+                const SubgraphTask& task = testTask())
 {
     // The sampler keeps the device's address: it must outlive the sampler.
     const DeviceSpec device = DeviceSpec::a100();
-    ScheduleSampler sampler(testTask(), device);
+    ScheduleSampler sampler(task, device);
     Rng rng(seed);
     return sampler.sampleMany(rng, n);
+}
+
+/** Steps the full extraction emitted: the rows before the first all-zero
+ *  one (an emitted row is never all zero). */
+size_t
+emittedSteps(const Matrix& block)
+{
+    size_t steps = 0;
+    while (steps < block.rows() &&
+           std::any_of(block.row(steps),
+                       block.row(steps) + block.cols(),
+                       [](double v) { return v != 0.0; })) {
+        ++steps;
+    }
+    return steps;
 }
 
 bool
@@ -123,15 +157,17 @@ bitwiseEqual(const std::vector<double>& a, const std::vector<double>& b)
 /** Batched == reference at every batch size and worker count. */
 template <typename Model>
 void
-expectBatchedIdentity(const Model& model)
+expectBatchedIdentity(const Model& model,
+                      const SubgraphTask& task = testTask(),
+                      std::initializer_list<size_t> sizes = {0, 1, 512})
 {
-    const auto& task = testTask();
-    for (const size_t n : {size_t{0}, size_t{1}, size_t{512}}) {
-        const auto cands = sampleSchedules(n);
+    for (const size_t n : sizes) {
+        const auto cands = sampleSchedules(n, 91, task);
         const auto ref = model.predictReference(task, cands);
         const auto batched = model.predict(task, cands);
         EXPECT_TRUE(bitwiseEqual(batched, ref))
-            << model.name() << " diverged at batch size " << n;
+            << model.name() << " diverged on " << task.key
+            << " at batch size " << n;
         for (const size_t workers : {size_t{1}, size_t{4}}) {
             ThreadPool pool(workers);
             const auto chunked = scoreChunked(
@@ -140,8 +176,9 @@ expectBatchedIdentity(const Model& model)
                 },
                 cands, &pool, 64);
             EXPECT_TRUE(bitwiseEqual(chunked, ref))
-                << model.name() << " diverged at batch size " << n
-                << " with " << workers << " workers";
+                << model.name() << " diverged on " << task.key
+                << " at batch size " << n << " with " << workers
+                << " workers";
         }
     }
 }
@@ -149,6 +186,17 @@ expectBatchedIdentity(const Model& model)
 TEST(BatchedIdentity, PaCMMatchesReference)
 {
     expectBatchedIdentity(PaCMModel(DeviceSpec::a100(), 3));
+}
+
+/** Padding-row elision across padding depths: every task at several
+ *  batch sizes and worker counts (duplicate candidates: see
+ *  DataflowDedup.PredictionsWithDuplicatesMatchReference). */
+TEST(BatchedIdentity, PaCMAcrossPaddingDepths)
+{
+    const PaCMModel model(DeviceSpec::a100(), 73);
+    for (const SubgraphTask& task : paddingTasks()) {
+        expectBatchedIdentity(model, task, {1, 64, 512});
+    }
 }
 
 TEST(BatchedIdentity, TenSetMlpMatchesReference)
@@ -435,17 +483,73 @@ TEST(DataflowDedup, DuplicateCandidatesPackOneBlock)
     }
 }
 
+/** The padding-elided packer: an elementwise batch packs each distinct
+ *  block's emitted rows plus one shared all-zero pad row, and every
+ *  padding row maps to that row. */
+TEST(DataflowDedup, ElidedPackKeepsEmittedRowsPlusOnePadRow)
+{
+    const SubgraphTask& task = paddingTasks()[0];
+    const DeviceSpec dev = DeviceSpec::a100();
+    const auto base = sampleSchedules(24, 83, task);
+    std::vector<Schedule> cands = base;
+    cands.insert(cands.end(), base.begin(), base.begin() + 8);
+    Matrix pack(0, kDataflowFeatureDim);
+    SegmentTable segs;
+    DataflowRowMap map;
+    SymbolSet sym;
+    DataflowBlockIndex seen;
+    for (const Schedule& sch : cands) {
+        extractSymbolsInto(task, sch, sym);
+        appendDataflowBlock(sym, task, sch, dev, pack, segs, seen, &map);
+    }
+    ASSERT_EQ(segs.count(), cands.size());
+    ASSERT_EQ(map.size(), segs.totalRows());
+    EXPECT_GE(segs.aliasCount(), 8u);
+    size_t emitted = 0;
+    size_t done = 0; // logical rows of distinct blocks seen so far
+    for (size_t i = 0; i < cands.size(); ++i) {
+        const Matrix full = extractDataflowFeatures(task, cands[i], dev);
+        const size_t steps = emittedSteps(full);
+        EXPECT_LE(steps + 6, kDataflowSteps) << "candidate " << i;
+        const size_t b = segs.begin(i);
+        for (size_t r = 0; r < kDataflowSteps; ++r) {
+            const size_t row = map[b + r];
+            if (r < steps) {
+                EXPECT_NE(row, 0u);
+            } else {
+                EXPECT_EQ(row, 0u) << "padding row " << r << " of " << i;
+            }
+            EXPECT_EQ(std::memcmp(pack.row(row), full.row(r),
+                                  kDataflowFeatureDim * sizeof(double)),
+                      0);
+        }
+        if (b + kDataflowSteps > done) {
+            emitted += steps;
+            done = b + kDataflowSteps;
+        }
+    }
+    EXPECT_EQ(pack.rows(), emitted + 1);
+}
+
+/** Duplicate candidates on every padding depth, so block aliasing and
+ *  the shared pad row meet in one pack. */
 TEST(DataflowDedup, PredictionsWithDuplicatesMatchReference)
 {
-    const auto& task = testTask();
-    const auto base = sampleSchedules(8, 67);
-    std::vector<Schedule> cands;
-    for (int rep = 0; rep < 3; ++rep) {
-        cands.insert(cands.end(), base.begin(), base.end());
-    }
     const PaCMModel model(DeviceSpec::a100(), 71);
-    EXPECT_TRUE(bitwiseEqual(model.predict(task, cands),
-                             model.predictReference(task, cands)));
+    std::vector<const SubgraphTask*> tasks{&testTask()};
+    for (const SubgraphTask& task : paddingTasks()) {
+        tasks.push_back(&task);
+    }
+    for (const SubgraphTask* task : tasks) {
+        const auto base = sampleSchedules(8, 67, *task);
+        std::vector<Schedule> cands;
+        for (int rep = 0; rep < 3; ++rep) {
+            cands.insert(cands.end(), base.begin(), base.end());
+        }
+        EXPECT_TRUE(bitwiseEqual(model.predict(*task, cands),
+                                 model.predictReference(*task, cands)))
+            << "PaCM diverged on " << task->key;
+    }
 }
 
 } // namespace

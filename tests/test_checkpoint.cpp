@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -308,6 +309,49 @@ TEST_F(CheckpointTest, GoldenFixtureRoundTrips)
 {
     const std::string golden = goldenCheckpoint();
     EXPECT_TRUE(encodeCheckpoint(decodeCheckpoint(golden)) == golden);
+}
+
+/** The golden fixture with its `model` count replaced by @p count and the
+ *  header re-framed around a fresh CRC, so only the count is wrong. */
+std::string
+withModelCount(const std::string& golden, const std::string& count)
+{
+    std::string payload = golden.substr(golden.find('\n') + 1);
+    const size_t at = payload.find("\nmodel ") + 7;
+    payload.replace(at, payload.find(' ', at) - at, count);
+    char header[80];
+    std::snprintf(header, sizeof(header),
+                  "#pruner-checkpoint v1 crc=%08x bytes=%zu\n",
+                  io::crc32(payload), payload.size());
+    return header + payload;
+}
+
+TEST_F(CheckpointTest, HugeCountFieldIsRejectedAndQuarantined)
+{
+    const std::string golden = goldenCheckpoint();
+    ASSERT_TRUE(withModelCount(golden, "45761") == golden);
+    const uint64_t fingerprint = decodeCheckpoint(golden).fingerprint;
+    // 2^40 and 2*10^8 doubles that the line does not hold, and a count
+    // that does not fit 64 bits: each is a clean FatalError, with no
+    // allocation sized by the count.
+    for (const char* count :
+         {"1099511627776", "200000000", "12345678901234567890123"}) {
+        const std::string text = withModelCount(golden, count);
+        EXPECT_THROW(decodeCheckpoint(text), FatalError) << count;
+        {
+            std::ofstream out(kCkptPath, std::ios::binary | std::ios::trunc);
+            out.write(text.data(), static_cast<std::streamsize>(text.size()));
+        }
+        obs::MetricsRegistry metrics;
+        EXPECT_FALSE(loadCheckpoint(kCkptPath, fingerprint, &metrics));
+        EXPECT_FALSE(fs::exists(kCkptPath)) << count;
+        EXPECT_TRUE(fs::exists(kCkptPath + ".corrupt")) << count;
+        EXPECT_EQ(metrics.snapshot().counterValue(
+                      "checkpoint_quarantined_total"),
+                  1u)
+            << count;
+        removeCheckpointFiles();
+    }
 }
 
 TEST_F(CheckpointTest, IncrementalBuildMatchesFreshBuild)

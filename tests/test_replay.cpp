@@ -228,6 +228,18 @@ TEST(Replay, TruncatedAndMalformedLogsAreRejected)
     EXPECT_TRUE(replayDiff(reparsed, SessionLog::parse(text)).identical);
 }
 
+TEST(Replay, TokenReaderRejectsDecimalOverflow)
+{
+    TokenReader in("18446744073709551615 18446744073709551616");
+    EXPECT_EQ(in.dec(), UINT64_MAX);
+    EXPECT_THROW(in.dec(), FatalError);
+    TokenReader s("-9223372036854775808 9223372036854775807 "
+                  "9223372036854775808");
+    EXPECT_EQ(s.sdec(), INT64_MIN);
+    EXPECT_EQ(s.sdec(), INT64_MAX);
+    EXPECT_THROW(s.sdec(), FatalError);
+}
+
 TEST(Replay, SaveLoadRoundTrip)
 {
     const auto dev = DeviceSpec::a100();

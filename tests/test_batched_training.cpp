@@ -5,7 +5,8 @@
  *    TenSetMLP, TLP) at 1 / 48 / 512 records, and post-train predictions
  *    agree bitwise with the per-candidate reference scoring,
  *  - from a fresh model, both loops reach loss bits and weight hashes
- *    frozen as constants, for the same five models,
+ *    frozen as constants, for the same five models, and both scoring
+ *    paths give frozen score hashes on a fixed probe before and after,
  *  - the nn-level backwardBatch passes (Mlp, SelfAttention) accumulate
  *    bitwise the same parameter gradients as the per-record
  *    forward()+backward() loop, at any segment shape, and reject aliased
@@ -212,11 +213,29 @@ TEST(TrainingIdentity, ChainedRoundsMatchReference)
     EXPECT_TRUE(bitwiseEqual(batched.getParams(), reference.getParams()));
 }
 
+/** predictReference() of the learned model behind @p model. */
+std::vector<double>
+referenceScores(const CostModel& model, const SubgraphTask& task,
+                std::span<const Schedule> cands)
+{
+    if (const auto* pacm = dynamic_cast<const PaCMModel*>(&model)) {
+        return pacm->predictReference(task, cands);
+    }
+    if (const auto* mlp = dynamic_cast<const MlpCostModel*>(&model)) {
+        return mlp->predictReference(task, cands);
+    }
+    return dynamic_cast<const TlpCostModel&>(model).predictReference(task,
+                                                                     cands);
+}
+
 /** Frozen training trajectories: the loss bits and weight hash that
  *  train() and trainReference() reach from a fresh model, pinned as
- *  constants. The identity tests above only compare the two loops with
- *  each other; these catch an edit that moves both the same way. Three
- *  tasks of ~67 records exercise the per-group subset cap (48). */
+ *  constants, plus the hash of the model's scores on a fixed probe before
+ *  and after training (predict() and predictReference() alike). The
+ *  identity tests above only compare the two loops, and the two scoring
+ *  paths, with each other; these catch an edit that moves both the same
+ *  way. Three tasks of ~67 records exercise the per-group subset cap
+ *  (48). */
 TEST(TrainingGolden, FrozenLossAndWeightHashes)
 {
     struct Frozen
@@ -225,43 +244,87 @@ TEST(TrainingGolden, FrozenLossAndWeightHashes)
         std::function<std::unique_ptr<CostModel>()> make;
         uint64_t loss_bits;
         uint64_t params_hash;
+        uint64_t fresh_scores_hash;   ///< probe scores before training
+        uint64_t trained_scores_hash; ///< probe scores after training
     };
     const DeviceSpec dev = DeviceSpec::a100();
     const std::vector<Frozen> cases = {
         {"PaCM", [&] { return std::make_unique<PaCMModel>(dev, 3); },
-         0x3f56d3748be608e4, 0x9372f1d60b3c7948},
+         0x3f56d3748be608e4, 0x9372f1d60b3c7948, 0x7f4a426c36439e64,
+         0x8e138711a236eaa2},
         {"PaCM-no-statement",
          [&] {
              return std::make_unique<PaCMModel>(
                  dev, 5, PaCMConfig{.use_statement_features = false});
          },
-         0x3f76455920aa50a8, 0x1e1f0bc2ae057f13},
+         0x3f76455920aa50a8, 0x1e1f0bc2ae057f13, 0x5907b7327a465add,
+         0x0e01a63fdb3789ea},
         {"PaCM-no-dataflow",
          [&] {
              return std::make_unique<PaCMModel>(
                  dev, 7, PaCMConfig{.use_dataflow_features = false});
          },
-         0x3f546335b7a9380c, 0xf1e94f02dbfb9452},
+         0x3f546335b7a9380c, 0xf1e94f02dbfb9452, 0xf351c07bdf7d5dc3,
+         0xcf82828c29119fc3},
         {"TenSetMLP", [&] { return std::make_unique<MlpCostModel>(dev, 9); },
-         0x3f5bfbc08fcd688f, 0x19d04583f748f797},
+         0x3f5bfbc08fcd688f, 0x19d04583f748f797, 0xc3640b17d807e2f5,
+         0x2a3934a492ad9141},
         {"TLP", [&] { return std::make_unique<TlpCostModel>(dev, 11); },
-         0x3f71cb9f02cf5824, 0x5fff22b84c9f2cb7},
+         0x3f71cb9f02cf5824, 0x5fff22b84c9f2cb7, 0x6e275819815a5150,
+         0x6350d3c51d264371},
     };
     const auto records = makeRecords(200, /*n_tasks=*/3, /*seed=*/61);
+
+    // The scoring probe: a GEMM batch and an elementwise batch, each 8
+    // candidates repeated 3 times, so PaCM's dataflow block dedup and its
+    // padding-row elision both fire.
+    const SubgraphTask elementwise = makeElementwise("tg", 1 << 20);
+    std::vector<std::pair<const SubgraphTask*, std::vector<Schedule>>> probe;
+    for (const SubgraphTask* task : {&records.front().task, &elementwise}) {
+        ScheduleSampler sampler(*task, dev);
+        Rng rng(71);
+        const auto base = sampler.sampleMany(rng, 8);
+        std::vector<Schedule> cands;
+        for (int rep = 0; rep < 3; ++rep) {
+            cands.insert(cands.end(), base.begin(), base.end());
+        }
+        probe.emplace_back(task, std::move(cands));
+    }
+    const auto expectScores = [&](const CostModel& model, uint64_t want,
+                                  const std::string& when) {
+        for (const bool reference : {false, true}) {
+            std::vector<double> scores;
+            for (const auto& [task, cands] : probe) {
+                const auto s = reference
+                                   ? referenceScores(model, *task, cands)
+                                   : model.predict(*task, cands);
+                scores.insert(scores.end(), s.begin(), s.end());
+            }
+            const uint64_t hash = paramsHash(scores);
+            EXPECT_EQ(hash, want)
+                << when << (reference ? " predictReference" : " predict")
+                << " scores hash 0x" << std::hex << hash;
+        }
+    };
+
     for (const auto& c : cases) {
         for (const bool reference : {false, true}) {
             auto model = c.make();
+            const std::string path = reference ? "trainReference" : "train";
+            expectScores(*model, c.fresh_scores_hash,
+                         std::string(c.name) + " fresh");
             const double loss = reference ? model->trainReference(records, 2)
                                           : model->train(records, 2);
             const uint64_t loss_bits = std::bit_cast<uint64_t>(loss);
             const uint64_t hash = paramsHash(model->getParams());
-            const char* path = reference ? "trainReference" : "train";
             EXPECT_EQ(loss_bits, c.loss_bits)
                 << c.name << " " << path << " loss bits 0x" << std::hex
                 << loss_bits;
             EXPECT_EQ(hash, c.params_hash)
                 << c.name << " " << path << " weight hash 0x" << std::hex
                 << hash;
+            expectScores(*model, c.trained_scores_hash,
+                         std::string(c.name) + " after " + path);
         }
     }
 }

@@ -2,18 +2,45 @@
 
 /**
  * @file cost_model.hpp
- * Common interface for learned cost models plus the shared ranking
- * training loop.
+ * The learned cost model: feature branches plus a fused head.
  *
- * All three learned models in the paper's evaluation (TenSetMLP, TLP, and
- * Pruner's PaCM) share the same contract: score a batch of candidate
- * schedules for one task (higher = predicted faster) and train from
- * measured (task, schedule, latency) records with a ranking objective.
+ * All three learned models in the paper's evaluation (TenSetMLP, TLP and
+ * Pruner's PaCM) share one contract: score a batch of candidate schedules
+ * for one task (higher = predicted faster) and train from measured (task,
+ * schedule, latency) records with a LambdaRank objective. They also share
+ * one shape. Each is an ordered list of feature branches, each branch
+ * pooling a candidate's feature rows into one 64-wide vector, and a head
+ * Mlp({64 x branches, 64, 1}) over the concatenated vectors. So CostModel
+ * is that one implementation, and each paper model is a branch
+ * configuration of it:
+ *
+ *   model      branches (kind, embed depth)   header            paper
+ *   TenSetMLP  statement 2                    mlp_cost_model    TenSet MLP
+ *   TLP        primitive 1                    tlp_cost_model    TLP
+ *   PaCM       statement 3, dataflow 3        pacm_model        §4.2
+ *
+ * A branch's kind fixes everything after its embed MLP. Statement rows
+ * are an unordered set, one row per buffer statement and a varying count
+ * per candidate, so the branch sum-pools them (TenSet's set encoding) and
+ * has no attention. Dataflow and primitive rows are step sequences
+ * zero-padded to a fixed length whose order carries the pattern, so those
+ * branches run self-attention over the steps and mean-pool. The PaCM
+ * ablations (Table 12) disable a branch: it keeps its weights, so the
+ * init order and parameter layout do not move, and feeds zero columns
+ * into the head.
+ *
+ * Scoring runs through the batched inference engine: every branch packs
+ * all candidates' rows into one matrix (one symbol extraction per
+ * candidate feeds the statement and dataflow branches), each layer is one
+ * GEMM over the population, and pooling is segment-aware. Dataflow packs
+ * go through appendDataflowBlock, so duplicate blocks alias and padding
+ * rows share one pack row. The result is byte-identical to scoring each
+ * candidate alone (predictReference).
+ *
  * The simulated per-candidate inference cost and per-round training cost
  * differ per model and feed the SimClock.
  */
 
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -21,7 +48,9 @@
 
 #include "device/device_spec.hpp"
 #include "ir/task.hpp"
+#include "nn/attention.hpp"
 #include "nn/layers.hpp"
+#include "nn/workspace.hpp"
 #include "sched/schedule.hpp"
 #include "support/rng.hpp"
 
@@ -40,70 +69,112 @@ struct MeasuredRecord
     double latency = 0.0; ///< measured latency in seconds (finite)
 };
 
-/** Abstract learned cost model. */
+/** The features a cost-model branch reads; the kind fixes the branch's
+ *  attention and pooling (see the file comment). */
+enum class FeatureKind
+{
+    Statement, ///< per-statement rows: embed MLP, sum pool
+    Dataflow,  ///< padded dataflow steps: embed MLP, attention, mean pool
+    Primitive, ///< padded primitive steps: embed MLP, attention, mean pool
+};
+
+/** One feature branch of a CostModel. */
+struct BranchSpec
+{
+    FeatureKind kind = FeatureKind::Statement;
+    size_t depth = 1;    ///< linear layers of the 64-wide embed MLP
+    bool enabled = true; ///< off: keeps its weights, feeds the head zeros
+};
+
+/** The learned cost model (see the file comment). */
 class CostModel
 {
   public:
+    /** @param name      report name ("TenSetMLP", "TLP", "PaCM")
+     *  @param device    platform whose features/labels this model sees
+     *  @param seed      weight-init / training-shuffle seed
+     *  @param branches  in head-column order; at least one enabled
+     *  @param eval_cost   simulated seconds per scored candidate
+     *  @param train_cost  simulated seconds of training per round */
+    CostModel(std::string name, const DeviceSpec& device, uint64_t seed,
+              const std::vector<BranchSpec>& branches, double eval_cost,
+              double train_cost);
+    /** Virtual: a std::unique_ptr<CostModel> owns the named subclasses. */
     virtual ~CostModel() = default;
 
     /** Model name for reports ("TenSetMLP", "TLP", "PaCM"). */
-    virtual std::string name() const = 0;
+    const std::string& name() const { return name_; }
 
-    /** Scores for candidate schedules of one task; higher = faster. Must
-     *  be const and reentrant (used concurrently by pool workers inside
-     *  search loops). Every model scores the whole span through its
-     *  batched inference engine — one packed GEMM per layer — and the
-     *  result is byte-identical to scoring candidates one at a time, at
-     *  any batch size (the per-candidate reference path each model keeps
-     *  as predictReference()). */
-    virtual std::vector<double>
-    predict(const SubgraphTask& task,
-            std::span<const Schedule> candidates) const = 0;
+    /** Scores for candidate schedules of one task; higher = faster. Const
+     *  and reentrant (used concurrently by pool workers inside search
+     *  loops). Scores the whole span through the batched inference
+     *  engine — one packed GEMM per layer — and the result is
+     *  byte-identical to predictReference() at any batch size. */
+    std::vector<double> predict(const SubgraphTask& task,
+                                std::span<const Schedule> candidates) const;
 
-    /** Train on measured records (grouped by task internally). Returns
-     *  the final average ranking loss. The learned models route this
-     *  through the batched segment-aware trainer (one GEMM per layer per
-     *  LambdaRank group, forward and backward); weights after every
-     *  epoch are byte-identical to trainReference(). */
-    virtual double train(const std::vector<MeasuredRecord>& records,
-                         int epochs) = 0;
+    /** predict() into a caller-owned buffer: every intermediate comes from
+     *  @p ws, so once @p ws and the per-thread extraction scratch are warm
+     *  it allocates nothing. @p out must hold candidates.size() doubles. */
+    void predictInto(const SubgraphTask& task,
+                     std::span<const Schedule> candidates, Workspace& ws,
+                     double* out) const;
 
-    /** The frozen pre-batching training path (per-record forward +
-     *  backward), kept as the golden reference the batched trainer is
-     *  differentially tested against. Consumes the model's RNG exactly
-     *  like train(), so compare fresh clones — not chained calls.
-     *  Models without a separate reference path train normally. */
-    virtual double trainReference(const std::vector<MeasuredRecord>& records,
-                                  int epochs)
-    {
-        return train(records, epochs);
-    }
+    /** Per-candidate reference path (the pre-batching implementation),
+     *  kept for the identity tests and benches. */
+    std::vector<double>
+    predictReference(const SubgraphTask& task,
+                     std::span<const Schedule> candidates) const;
+
+    /**
+     * Train on measured records with LambdaRank; returns the last epoch's
+     * mean per-group loss. Every call runs a fresh Adam (lr 1e-3) over
+     * the model's parameters. Each epoch shuffles the task groups, then
+     * each group, and fits at most 48 records of it (LambdaRank is
+     * quadratic in group size) as one segment-packed batch: the caching
+     * forward scores the subset, one batched backward fits it, then the
+     * global gradient norm is clipped to 5.0 and Adam steps. Records
+     * whose dL/dscore is zero ride along with a zero dy row, so all their
+     * partials are exactly +0.0. Weights after every epoch are
+     * byte-identical to trainReference(); steady-state groups allocate
+     * nothing at the loop level.
+     */
+    double train(const std::vector<MeasuredRecord>& records, int epochs);
+
+    /** The frozen pre-batching trainer, kept as the golden reference the
+     *  batched trainer is differentially tested against: the same groups,
+     *  shuffles, optimizer and scoring as train(), but a per-record
+     *  forward + backward for each nonzero-gradient record, then one step
+     *  per group. Consumes the model's RNG exactly like train(), so
+     *  compare fresh clones — not chained calls. */
+    double trainReference(const std::vector<MeasuredRecord>& records,
+                          int epochs);
 
     /** Simulated seconds of exploration cost per scored candidate. */
-    virtual double evalCostPerCandidate() const = 0;
+    double evalCostPerCandidate() const { return eval_cost_; }
 
     /** Simulated seconds of training cost per tuning round. */
-    virtual double trainCostPerRound() const = 0;
+    double trainCostPerRound() const { return train_cost_; }
 
     /** Flat parameter snapshot (MoA / pre-train hand-off). */
-    virtual std::vector<double> getParams() = 0;
+    std::vector<double> getParams();
 
     /** Restore a snapshot produced by getParams() of the same model. */
-    virtual void setParams(const std::vector<double>& flat) = 0;
+    void setParams(const std::vector<double>& flat);
 
     /** Deep copy. */
-    virtual std::unique_ptr<CostModel> clone() const = 0;
+    std::unique_ptr<CostModel> clone() const;
 
     /** The RNG that train() draws from (group shuffling / subset
-     *  sampling), or nullptr for models without one. Checkpoint/resume
-     *  snapshots and restores it so a resumed run's training stream
-     *  continues exactly where the original left off — weights alone
-     *  don't capture that lineage. */
-    virtual Rng* trainingRng() { return nullptr; }
+     *  sampling). Checkpoint/resume snapshots and restores it so a resumed
+     *  run's training stream continues exactly where the original left
+     *  off — weights alone don't capture that lineage. */
+    Rng* trainingRng() { return &rng_; }
 
     /** Handles into a bound MetricsRegistry (all null when unbound; writes
      *  go through null-safe helpers). Deterministic channel: inference and
-     *  training traffic is a pure function of the tuning trajectory. */
+     *  training traffic is a pure function of the tuning trajectory. Each
+     *  infer count sums over the enabled branches. */
     struct ModelObsCounters
     {
         obs::Counter* infer_batches = nullptr;    ///< predict calls
@@ -125,71 +196,59 @@ class CostModel
      *  identical between sync and async runs. */
     void bindMetrics(obs::MetricsRegistry* metrics);
 
-  protected:
+  private:
+    /** One branch's weights. attn is set for the step-sequence kinds. */
+    struct Branch
+    {
+        BranchSpec spec;
+        Mlp embed;
+        SelfAttention attn;
+    };
+    /** One batched forward's per-branch packs plus what the batched
+     *  backward reuses (defined in cost_model.cpp). */
+    struct Batch;
+    /** Every training record's rows per branch, extracted once per train()
+     *  call (defined in cost_model.cpp). */
+    struct Memo;
+
+    /** Reset @p ws and point @p batch at one empty pack per branch. */
+    void beginBatch(Batch& batch, Workspace& ws) const;
+    /** Whether an enabled branch reads extracted symbols. */
+    bool needsSymbols() const;
+    double scoreOne(const SubgraphTask& task, const Schedule& sch) const;
+    /** The model's one batched forward over @p batch's packs -> n scores,
+     *  behind predictInto and both trainers. With @p record every layer
+     *  boundary lands in @p batch for fitBatch; without it the packs may
+     *  alias duplicate dataflow blocks and elide padding rows. */
+    void scoreBatch(Batch& batch, size_t n, Workspace& ws, bool record,
+                    double* out) const;
+    /** Extract every record's features once for a whole train() call;
+     *  the trajectory is byte-identical to re-extracting per record. */
+    Memo memoize(const std::vector<MeasuredRecord>& records) const;
+    /** Gather @p subset's memoised rows into fresh packs in @p ws (which
+     *  this resets) and score them through scoreBatch. */
+    void scoreSubset(const Memo& memo, const std::vector<size_t>& subset,
+                     Workspace& ws, Batch& batch, bool record,
+                     double* out) const;
+    /** Frozen per-record forward+backward of memoised record @p idx (the
+     *  pre-batching fit). */
+    void fitReference(const Memo& memo, size_t idx, double dscore);
+    /** Segment-aware batched backward from scoreBatch's recorded
+     *  activations, head first, then each branch: byte-identical gradient
+     *  accumulation to calling fitReference per record in pack order. */
+    void fitBatch(const std::vector<double>& dscores, Workspace& ws,
+                  const Batch& batch);
+    /** Per branch its embed, then its attention; the head last. */
+    std::vector<ParamRef> paramRefs();
+
+    std::string name_;
+    DeviceSpec device_;
+    Rng rng_;
+    double eval_cost_;
+    double train_cost_;
+    std::vector<Branch> branches_;
+    Mlp head_;
     ModelObsCounters obs_counters_;
 };
-
-namespace detail {
-
-/** Group record indices by task hash (stable order of first appearance). */
-std::vector<std::vector<size_t>>
-groupByTask(const std::vector<MeasuredRecord>& records);
-
-} // namespace detail
-
-/** Scores training records @p subset (pack order) into out[0, size). */
-using SubsetScoreFn =
-    std::function<void(const std::vector<size_t>& subset, double* out)>;
-
-/**
- * Shared LambdaRank training loop — batched backward.
- *
- * Owns the optimizer every learned model trains with: a fresh Adam over
- * @p params at learning rate 1e-3 per call, and after each group's fit
- * the global gradient norm clipped to 5.0, one Adam step and zeroed
- * gradients. Each epoch shuffles the task groups, then each group, and
- * fits at most 48 records of it (LambdaRank is quadratic in group size).
- *
- * Identical group/shuffle/loss structure (and RNG consumption) to
- * trainRankingLoopReference, but each group's fit runs as ONE
- * segment-packed batch: @p fit_batch receives the per-record dL/dscore of
- * the subset @p score just scored, and must make zero-gradient records
- * byte-level no-ops — either by skipping them like the reference loop
- * skips its fit_one calls, or by carrying them with a zero dy row (all
- * their partials are exactly +0.0; the models do the latter so the
- * backward can reuse the scoring pass's activations). score and fit_batch
- * are always called as a pair per group, so scoring state may carry into
- * the fit. All loop-level buffers (subset, scores, latencies, loss
- * scratch) are reused across groups and epochs, so steady-state epochs
- * allocate nothing at the loop level.
- *
- * @param records  measured data
- * @param epochs   passes over the grouped data
- * @param params   the model's parameters and gradients
- * @param rng      sampling source
- * @param score    scoring of a subset, caching what fit_batch needs
- * @param fit_batch  one batched backward over the subset just scored
- * @param counters  optional training counters (null members are no-ops)
- * Returns the last epoch's mean per-group loss.
- */
-double trainRankingLoop(
-    const std::vector<MeasuredRecord>& records, int epochs,
-    std::vector<ParamRef> params, Rng& rng, const SubsetScoreFn& score,
-    const std::function<void(const std::vector<double>& dscores)>&
-        fit_batch,
-    const CostModel::ModelObsCounters& counters = {});
-
-/**
- * The frozen pre-batching loop: the same optimizer and sampling as
- * trainRankingLoop, but per-record @p fit_one calls (skipping zero
- * gradients), one record's full forward+backward at a time, then one step
- * per group. Kept as the golden reference behind every model's
- * trainReference(); byte-for-byte the behaviour train() had before the
- * batched backward.
- */
-double trainRankingLoopReference(
-    const std::vector<MeasuredRecord>& records, int epochs,
-    std::vector<ParamRef> params, Rng& rng, const SubsetScoreFn& score,
-    const std::function<void(size_t record, double dscore)>& fit_one);
 
 } // namespace pruner

@@ -1,6 +1,8 @@
 #include "search/explorer.hpp"
 
+#include <charconv>
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "cost/cost_model.hpp"
@@ -18,10 +20,11 @@ namespace pruner {
 ExplorerSpec::ExplorerSpec(std::string key, const std::string& config)
     : key_(std::move(key)), config_(config)
 {
-    PRUNER_CHECK_MSG(config.find('\t') == std::string::npos &&
-                         config.find('\n') == std::string::npos,
-                     "explorer config must not contain tabs or newlines "
+    if (config.find('\t') != std::string::npos ||
+        config.find('\n') != std::string::npos) {
+        PRUNER_FATAL("explorer config must not contain tabs or newlines "
                      "(it is recorded as one session-log field)");
+    }
     size_t pos = 0;
     while (pos < config.size()) {
         size_t comma = config.find(',', pos);
@@ -34,9 +37,10 @@ ExplorerSpec::ExplorerSpec(std::string key, const std::string& config)
             continue;
         }
         const size_t eq = pair.find('=');
-        PRUNER_CHECK_MSG(eq != std::string::npos && eq > 0,
-                         "malformed explorer config pair '"
-                             << pair << "' (expected key=value)");
+        if (eq == std::string::npos || eq == 0) {
+            PRUNER_FATAL("malformed explorer config pair '"
+                         << pair << "' (expected key=value)");
+        }
         pairs_.emplace_back(pair.substr(0, eq), pair.substr(eq + 1));
     }
 }
@@ -66,13 +70,37 @@ ExplorerSpec::get(const std::string& name, const std::string& fallback) const
     return out;
 }
 
+namespace {
+
+/** Parse @p name's whole @p value as a T, or refuse it naming the key. */
+template <typename T>
+T
+parseValue(const std::string& key, const std::string& name,
+           const std::string& value, const char* what)
+{
+    T out{};
+    const char* end = value.data() + value.size();
+    const auto [stop, ec] = std::from_chars(value.data(), end, out);
+    if (ec == std::errc::result_out_of_range) {
+        PRUNER_FATAL("explorer '" << key << "' option '" << name << "="
+                                  << value << "' is out of range");
+    }
+    if (ec != std::errc() || stop != end) {
+        PRUNER_FATAL("explorer '" << key << "' option '" << name << "="
+                                  << value << "' is not " << what);
+    }
+    return out;
+}
+
+} // namespace
+
 int64_t
 ExplorerSpec::getInt(const std::string& name, int64_t fallback) const
 {
     if (!has(name)) {
         return fallback;
     }
-    return std::stoll(get(name, ""));
+    return parseValue<int64_t>(key_, name, get(name, ""), "an integer");
 }
 
 double
@@ -81,7 +109,7 @@ ExplorerSpec::getDouble(const std::string& name, double fallback) const
     if (!has(name)) {
         return fallback;
     }
-    return std::stod(get(name, ""));
+    return parseValue<double>(key_, name, get(name, ""), "a number");
 }
 
 // ---------------------------------------------------------------------------
@@ -159,6 +187,21 @@ class EvolutionExplorer final : public Explorer
 // gbt: boosted-trees surrogate trained online from measured records
 // ---------------------------------------------------------------------------
 
+/** @p spec's @p name option as a count: a whole integer in [1, INT_MAX]. */
+int64_t
+countOption(const ExplorerSpec& spec, const std::string& name,
+            int64_t fallback)
+{
+    const int64_t value = spec.getInt(name, fallback);
+    if (value < 1 || value > std::numeric_limits<int>::max()) {
+        PRUNER_FATAL("explorer '" << spec.key() << "' option '" << name
+                                  << "' must be a count in [1, "
+                                  << std::numeric_limits<int>::max()
+                                  << "], got " << value);
+    }
+    return value;
+}
+
 /**
  * Runs the evolutionary walk but scores it with a gradient-boosted-trees
  * surrogate refit online from the measured records observe() delivers
@@ -173,20 +216,31 @@ class GbtExplorer final : public Explorer
   public:
     explicit GbtExplorer(const ExplorerSpec& spec)
         : Explorer(spec),
-          window_(static_cast<size_t>(spec.getInt("window", 1024))),
-          min_records_(static_cast<size_t>(spec.getInt("min_records", 48)))
+          window_(static_cast<size_t>(countOption(spec, "window", 1024))),
+          min_records_(
+              static_cast<size_t>(countOption(spec, "min_records", 48)))
     {
         GbtConfig config;
-        config.n_trees = static_cast<int>(
-            spec.getInt("trees", config.n_trees));
+        config.n_trees =
+            static_cast<int>(countOption(spec, "trees", config.n_trees));
         config.max_depth = static_cast<int>(
-            spec.getInt("depth", config.max_depth));
+            countOption(spec, "depth", config.max_depth));
         config.learning_rate =
             spec.getDouble("lr", config.learning_rate);
-        config.min_leaf = static_cast<size_t>(
-            spec.getInt("min_leaf", static_cast<int64_t>(config.min_leaf)));
+        if (!(std::isfinite(config.learning_rate) &&
+              config.learning_rate > 0.0)) {
+            PRUNER_FATAL("explorer 'gbt' option 'lr' must be finite and "
+                         "positive, got "
+                         << config.learning_rate);
+        }
+        config.min_leaf = static_cast<size_t>(countOption(
+            spec, "min_leaf", static_cast<int64_t>(config.min_leaf)));
         model_ = GbtModel(config);
-        PRUNER_CHECK(window_ >= min_records_ && min_records_ > 0);
+        if (window_ < min_records_) {
+            PRUNER_FATAL("explorer 'gbt' option 'window' ("
+                         << window_ << ") must be at least 'min_records' ("
+                         << min_records_ << ")");
+        }
     }
 
     std::string

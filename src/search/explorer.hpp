@@ -72,7 +72,9 @@ struct ExplorerContext
 
 /** Parsed explorer options: "k1=v1,k2=v2" (no tabs — the string is
  *  recorded as one field of the session log's policycfg line). Explorers
- *  ignore keys they do not read. */
+ *  ignore keys they do not read. The string also arrives from a replayed
+ *  session log, so every malformed value is the caller's error: a
+ *  FatalError that names the option. */
 class ExplorerSpec
 {
   public:
@@ -87,7 +89,11 @@ class ExplorerSpec
     bool has(const std::string& name) const;
     std::string get(const std::string& name,
                     const std::string& fallback) const;
+    /** @p name's value parsed whole (std::from_chars), @p fallback when
+     *  absent. @throws FatalError on trailing text, a non-number or an
+     *  out-of-range value. */
     int64_t getInt(const std::string& name, int64_t fallback) const;
+    /** As getInt, for a floating-point value. */
     double getDouble(const std::string& name, double fallback) const;
 
   private:
@@ -172,7 +178,9 @@ void observeWarmRecords(Explorer& explorer, const DeviceSpec& device,
 /** Build the explorer named @p key: "" or "evolution" is the default
  *  evolutionary draft, "gbt" the boosted-trees surrogate. @p config is
  *  the comma-separated option string (see ExplorerSpec).
- *  @throws FatalError on any other key, naming the two valid ones. */
+ *  @throws FatalError on any other key, naming the two valid ones, and
+ *  on an option the explorer cannot use (gbt: counts must be in
+ *  [1, INT_MAX], lr finite and positive, window >= min_records). */
 std::unique_ptr<Explorer> makeExplorer(const std::string& key,
                                        const std::string& config = "");
 

@@ -351,8 +351,33 @@ TEST(Explorer, SpecParsesTypedValuesAndRejectsMalformedPairs)
     EXPECT_EQ(spec.getDouble("lr", 0.0), 0.5);
     EXPECT_EQ(spec.getInt("missing", 17), 17);
     EXPECT_FALSE(spec.has("missing"));
-    EXPECT_THROW(ExplorerSpec("gbt", "novalue"), InternalError);
-    EXPECT_THROW(ExplorerSpec("gbt", "a=1\tb=2"), InternalError);
+    EXPECT_THROW(ExplorerSpec("gbt", "novalue"), FatalError);
+    EXPECT_THROW(ExplorerSpec("gbt", "a=1\tb=2"), FatalError);
+    // The gbt explorer parses each value whole and range-checks it; every
+    // refusal is a FatalError that names the option.
+    const std::vector<std::pair<std::string, std::string>> refused = {
+        {"novalue", "novalue"},
+        {"min_records=-3", "min_records"},
+        {"trees=abc", "trees"},
+        {"trees=12abc", "trees"},
+        {"trees=0", "trees"},
+        {"depth=3000000000", "depth"},
+        {"lr=x", "lr"},
+        {"lr=-0.5", "lr"},
+        {"lr=inf", "lr"},
+        {"lr=nan", "lr"},
+        {"window=99999999999999999999", "window"},
+        {"window=16,min_records=20", "window"},
+    };
+    for (const auto& [config, option] : refused) {
+        try {
+            (void)makeExplorer("gbt", config);
+            ADD_FAILURE() << "accepted explorer config '" << config << "'";
+        } catch (const FatalError& e) {
+            EXPECT_NE(std::string(e.what()).find(option), std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 /** The GBT surrogate must be a deterministic pure function of its

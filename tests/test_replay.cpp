@@ -412,6 +412,10 @@ TEST(Replay, UnknownFactoryAndPretrainedSessionsAreRefused)
     // rather than replayed under a guessed default.
     expectRefused(edited(text, "\texplorer=evolution\texplorercfg=-", ""),
                   "missing field 'explorer'");
+    // A malformed explorer option is refused like any other bad field.
+    expectRefused(edited(text, "\texplorer=evolution\texplorercfg=-",
+                         "\texplorer=gbt\texplorercfg=trees=abc"),
+                  "option 'trees=abc' is not an integer");
     auto mlp = baselines::makeTenSetMlp(dev, 5, {}, true);
     expectRefused(
         edited(record(*mlp, w, opts).serialize(), "\tpretrained=0", ""),

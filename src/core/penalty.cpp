@@ -7,12 +7,6 @@
 namespace pruner {
 
 double
-PenaltySet::computeProduct() const
-{
-    return p_l0_c * p_l1_c * alpha_l1 * p_l2_c;
-}
-
-double
 PenaltySet::memoryProduct() const
 {
     return p_l0_m * p_l1_m;

@@ -38,9 +38,6 @@ struct PenaltySet
     double alpha_l1 = 1.0;
     double p_l2_c = 1.0;
 
-    /** Product of all compute-side penalties (incl. alpha_l1). */
-    double computeProduct() const;
-
     /** Product of the program-level memory penalties (P_l2,m is applied
      *  per statement, see statementP2m). */
     double memoryProduct() const;

@@ -900,18 +900,6 @@ Matrix::add(const Matrix& other)
 }
 
 void
-Matrix::addScaled(const Matrix& other, double scale)
-{
-    PRUNER_CHECK_MSG(rows_ == other.rows_ && cols_ == other.cols_,
-                     "addScaled shape mismatch: ["
-                         << rows_ << "x" << cols_ << "] += s * ["
-                         << other.rows_ << "x" << other.cols_ << "]");
-    for (size_t i = 0; i < data_.size(); ++i) {
-        data_[i] += scale * other.data_[i];
-    }
-}
-
-void
 Matrix::addRowVector(const Matrix& bias)
 {
     PRUNER_CHECK_MSG(bias.rows_ == 1 && bias.cols_ == cols_,

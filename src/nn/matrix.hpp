@@ -210,9 +210,6 @@ class Matrix
     /** this += other (same shape). */
     void add(const Matrix& other);
 
-    /** this += scale * other. */
-    void addScaled(const Matrix& other, double scale);
-
     /** Add a row vector (bias) to every row. */
     void addRowVector(const Matrix& bias);
 

@@ -143,12 +143,6 @@ Tracer::argU64(SpanHandle handle, const char* key, uint64_t value)
 }
 
 void
-Tracer::argI64(SpanHandle handle, const char* key, int64_t value)
-{
-    pushArg(handle, key, std::to_string(value));
-}
-
-void
 Tracer::argDouble(SpanHandle handle, const char* key, double value)
 {
     if (!std::isfinite(value)) {

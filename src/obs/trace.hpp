@@ -73,7 +73,6 @@ class Tracer
                        TraceChannel channel = TraceChannel::Deterministic);
 
     void argU64(SpanHandle handle, const char* key, uint64_t value);
-    void argI64(SpanHandle handle, const char* key, int64_t value);
     /** Doubles render with max_digits10 precision — deterministic for a
      *  given libc, round-trippable. */
     void argDouble(SpanHandle handle, const char* key, double value);

@@ -220,12 +220,6 @@ clearIoFaultPlan()
     g_write_ops.store(0, std::memory_order_relaxed);
 }
 
-uint64_t
-ioWriteOps()
-{
-    return g_write_ops.load(std::memory_order_relaxed);
-}
-
 bool
 atomicWriteFile(const std::string& path, const std::string& contents,
                 int max_attempts)

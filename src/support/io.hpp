@@ -100,9 +100,6 @@ void setIoFaultPlan(const IoFaultPlan& plan);
 /** Remove any installed fault plan and reset the write-op counter. */
 void clearIoFaultPlan();
 
-/** Write-ops issued since the plan was (re)installed. */
-uint64_t ioWriteOps();
-
 /** Durably replace @p path with @p contents via tmp + rename.
  *
  *  Transient injected faults are retried up to @p max_attempts times with

@@ -283,11 +283,14 @@ CostModel::scoreBatch(Batch& batch, size_t n, Workspace& ws, bool record,
         PRUNER_CHECK(pack.segs->count() == n);
         const Matrix* h = &branch.embed.forwardBatch(
             *pack.rows, ws, record ? &pack.embed_acts : nullptr);
-        Matrix& pooled = lone ? fused : ws.alloc(n, kHidden);
-        if (isSequence(branch.spec.kind)) {
+        const bool sequence = isSequence(branch.spec.kind);
+        if (sequence) {
             h = &branch.attn.forwardBatch(*h, *pack.segs, ws,
                                           record ? &pack.attn : nullptr,
                                           pack.map);
+        }
+        Matrix& pooled = lone ? fused : ws.alloc(n, kHidden);
+        if (sequence) {
             segmentColMean(*h, *pack.segs, pooled);
         } else {
             segmentColSum(*h, *pack.segs, pooled);
@@ -328,10 +331,10 @@ CostModel::predictInto(const SubgraphTask& task,
         }
         for (size_t b = 0; b < branches_.size(); ++b) {
             const BranchSpec& spec = branches_[b].spec;
-            Batch::Pack& pack = batch.packs[b];
             if (!spec.enabled) {
                 continue;
             }
+            Batch::Pack& pack = batch.packs[b];
             if (spec.kind == FeatureKind::Dataflow) {
                 appendDataflowBlock(sym, task, sch, device_, *pack.rows,
                                     *pack.segs, pack.seen, &pack.map);

@@ -359,9 +359,7 @@ applyCheckpoint(const TuningCheckpoint& cp, const Workload& workload,
     if (cp.has_model && targets.model != nullptr) {
         targets.model->setParams(cp.model_params);
         if (cp.has_model_rng) {
-            if (Rng* train_rng = targets.model->trainingRng()) {
-                train_rng->setState(cp.model_rng);
-            }
+            targets.model->trainingRng()->setState(cp.model_rng);
         }
     }
     if (cp.has_siamese && targets.moa != nullptr) {

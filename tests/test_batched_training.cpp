@@ -213,21 +213,6 @@ TEST(TrainingIdentity, ChainedRoundsMatchReference)
     EXPECT_TRUE(bitwiseEqual(batched.getParams(), reference.getParams()));
 }
 
-/** predictReference() of the learned model behind @p model. */
-std::vector<double>
-referenceScores(const CostModel& model, const SubgraphTask& task,
-                std::span<const Schedule> cands)
-{
-    if (const auto* pacm = dynamic_cast<const PaCMModel*>(&model)) {
-        return pacm->predictReference(task, cands);
-    }
-    if (const auto* mlp = dynamic_cast<const MlpCostModel*>(&model)) {
-        return mlp->predictReference(task, cands);
-    }
-    return dynamic_cast<const TlpCostModel&>(model).predictReference(task,
-                                                                     cands);
-}
-
 /** Frozen training trajectories: the loss bits and weight hash that
  *  train() and trainReference() reach from a fresh model, pinned as
  *  constants, plus the hash of the model's scores on a fixed probe before
@@ -296,7 +281,7 @@ TEST(TrainingGolden, FrozenLossAndWeightHashes)
             std::vector<double> scores;
             for (const auto& [task, cands] : probe) {
                 const auto s = reference
-                                   ? referenceScores(model, *task, cands)
+                                   ? model.predictReference(*task, cands)
                                    : model.predict(*task, cands);
                 scores.insert(scores.end(), s.begin(), s.end());
             }

@@ -269,8 +269,9 @@ void
 CostModel::scoreBatch(Batch& batch, size_t n, Workspace& ws, bool record,
                       double* out) const
 {
-    // A lone branch pools straight into the head input; several each fill
-    // their own columns, a disabled one leaving its zeros.
+    // A lone branch pools straight into the head input, so single-branch
+    // models pay no zero-fill or copy; several each fill their own
+    // columns, a disabled one leaving its zeros.
     const bool lone = branches_.size() == 1;
     Matrix& fused = lone ? ws.alloc(n, kHidden)
                          : ws.allocZero(n, kHidden * branches_.size());

@@ -14,10 +14,10 @@
  * is that one implementation, and each paper model is a branch
  * configuration of it:
  *
- *   model      branches (kind, embed depth)   header            paper
- *   TenSetMLP  statement 2                    mlp_cost_model    TenSet MLP
- *   TLP        primitive 1                    tlp_cost_model    TLP
- *   PaCM       statement 3, dataflow 3        pacm_model        §4.2
+ *   model      branches (kind, embed depth)  class         source
+ *   TenSetMLP  statement 2                   MlpCostModel  TenSet's MLP
+ *   TLP        primitive 1                   TlpCostModel  arXiv 2211.03578
+ *   PaCM       statement 3, dataflow 3       PaCMModel     Pruner §4.2
  *
  * A branch's kind fixes everything after its embed MLP. Statement rows
  * are an unordered set, one row per buffer statement and a varying count
@@ -101,6 +101,10 @@ class CostModel
               double train_cost);
     /** Virtual: a std::unique_ptr<CostModel> owns the named subclasses. */
     virtual ~CostModel() = default;
+    CostModel(const CostModel&) = default;
+    CostModel& operator=(const CostModel&) = default;
+    CostModel(CostModel&&) = default;
+    CostModel& operator=(CostModel&&) = default;
 
     /** Model name for reports ("TenSetMLP", "TLP", "PaCM"). */
     const std::string& name() const { return name_; }

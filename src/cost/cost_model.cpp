@@ -64,35 +64,25 @@ extractFeatures(FeatureKind kind, const SubgraphTask& task,
 
 /** Append one candidate's @p kind rows (statement and dataflow rows from
  *  its already-extracted symbols) to @p rows as the next segment of
- *  @p segs, padding included. */
+ *  @p segs, padding included and never aliased. */
 void
 appendRows(FeatureKind kind, const SymbolSet& sym, const SubgraphTask& task,
            const Schedule& sch, const DeviceSpec& device, Matrix& rows,
            SegmentTable& segs)
 {
     static thread_local std::vector<SchedulePrimitive> primitives;
-    const size_t row0 = rows.rows();
-    size_t n = 0;
-    // Appended rows are value-initialized to zero, which the writers rely
-    // on.
     switch (kind) {
     case FeatureKind::Statement:
-        n = sym.statements.size();
-        rows.resize(row0 + n, kStatementFeatureDim);
-        writeStatementFeatureRows(sym, task, sch, device, rows, row0);
-        break;
+        appendStatementRows(sym, task, sch, device, rows, segs);
+        return;
     case FeatureKind::Dataflow:
-        n = kDataflowSteps;
-        rows.resize(row0 + n, kDataflowFeatureDim);
-        writeDataflowFeatureRows(sym, task, sch, device, rows, row0);
-        break;
+        appendDataflowRows(sym, task, sch, device, rows, segs);
+        return;
     case FeatureKind::Primitive:
-        n = kPrimitiveSteps;
-        rows.resize(row0 + n, kPrimitiveFeatureDim);
-        writePrimitiveFeatureRows(task, sch, rows, row0, primitives);
-        break;
+        appendPrimitiveRows(task, sch, rows, segs, primitives);
+        return;
     }
-    segs.append(n);
+    PRUNER_CHECK_MSG(false, "unknown feature kind");
 }
 
 /** Copy one branch's pooled [n, kHidden] rows into columns
@@ -269,12 +259,9 @@ void
 CostModel::scoreBatch(Batch& batch, size_t n, Workspace& ws, bool record,
                       double* out) const
 {
-    // A lone branch pools straight into the head input, so single-branch
-    // models pay no zero-fill or copy; several each fill their own
-    // columns, a disabled one leaving its zeros.
-    const bool lone = branches_.size() == 1;
-    Matrix& fused = lone ? ws.alloc(n, kHidden)
-                         : ws.allocZero(n, kHidden * branches_.size());
+    // Each branch fills its own columns of the head input; a disabled one
+    // leaves its zeros.
+    Matrix& fused = ws.allocZero(n, kHidden * branches_.size());
     for (size_t b = 0; b < branches_.size(); ++b) {
         const Branch& branch = branches_[b];
         if (!branch.spec.enabled) {
@@ -290,15 +277,13 @@ CostModel::scoreBatch(Batch& batch, size_t n, Workspace& ws, bool record,
                                           record ? &pack.attn : nullptr,
                                           pack.map);
         }
-        Matrix& pooled = lone ? fused : ws.alloc(n, kHidden);
+        Matrix& pooled = ws.alloc(n, kHidden);
         if (sequence) {
             segmentColMean(*h, *pack.segs, pooled);
         } else {
             segmentColSum(*h, *pack.segs, pooled);
         }
-        if (!lone) {
-            placeBranch(pooled, b * kHidden, fused);
-        }
+        placeBranch(pooled, b * kHidden, fused);
     }
     const Matrix& scores = head_.forwardBatch(
         fused, ws, record ? &batch.head_acts : nullptr);

@@ -72,18 +72,12 @@ struct StepWriter
     }
 };
 
-} // namespace
-
-Matrix
-extractDataflowFeatures(const SubgraphTask& task, const Schedule& sch,
-                        const DeviceSpec& device)
-{
-    Matrix feat(kDataflowSteps, kDataflowFeatureDim);
-    const SymbolSet sym = extractSymbols(task, sch);
-    writeDataflowFeatureRows(sym, task, sch, device, feat, 0);
-    return feat;
-}
-
+/** Write one candidate's dataflow rows (from its already-extracted
+ *  symbols) into @p out at rows [row0, row0 + kDataflowSteps), which must
+ *  exist and be zero-filled. Returns the number of steps it emitted (at
+ *  most kDataflowSteps): the rows past them stay zero, the padding. Every
+ *  emitted row carries a one-hot flow direction, so it is never all
+ *  zero. */
 size_t
 writeDataflowFeatureRows(const SymbolSet& sym, const SubgraphTask& task,
                          const Schedule& sch, const DeviceSpec& device,
@@ -165,6 +159,29 @@ writeDataflowFeatureRows(const SymbolSet& sym, const SubgraphTask& task,
     // Remaining rows stay zero (the paper's zero-padding for element-wise
     // operators and short movement chains).
     return w.step;
+}
+
+} // namespace
+
+Matrix
+extractDataflowFeatures(const SubgraphTask& task, const Schedule& sch,
+                        const DeviceSpec& device)
+{
+    Matrix feat(kDataflowSteps, kDataflowFeatureDim);
+    const SymbolSet sym = extractSymbols(task, sch);
+    writeDataflowFeatureRows(sym, task, sch, device, feat, 0);
+    return feat;
+}
+
+void
+appendDataflowRows(const SymbolSet& sym, const SubgraphTask& task,
+                   const Schedule& sch, const DeviceSpec& device, Matrix& out,
+                   SegmentTable& segs)
+{
+    const size_t row0 = out.rows();
+    out.resize(row0 + kDataflowSteps, kDataflowFeatureDim);
+    writeDataflowFeatureRows(sym, task, sch, device, out, row0);
+    segs.append(kDataflowSteps);
 }
 
 void

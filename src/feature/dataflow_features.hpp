@@ -37,15 +37,13 @@ constexpr size_t kDataflowSteps = 10;
 Matrix extractDataflowFeatures(const SubgraphTask& task, const Schedule& sch,
                                const DeviceSpec& device);
 
-/** Write one candidate's dataflow rows (from its already-extracted
- *  symbols) into @p out at rows [row0, row0 + kDataflowSteps), which must
- *  exist and be zero-filled. Returns the number of steps it emitted (at
- *  most kDataflowSteps): the rows past them stay zero, the padding. Every
- *  emitted row carries a one-hot flow direction, so it is never all
- *  zero. */
-size_t writeDataflowFeatureRows(const SymbolSet& sym, const SubgraphTask& task,
-                                const Schedule& sch, const DeviceSpec& device,
-                                Matrix& out, size_t row0);
+/** Append one candidate's kDataflowSteps rows (from its already-extracted
+ *  symbols), padding included, to @p out as the next segment of @p segs.
+ *  Every segment owns its rows, the layout a training pack needs;
+ *  inference packs go through appendDataflowBlock. */
+void appendDataflowRows(const SymbolSet& sym, const SubgraphTask& task,
+                        const Schedule& sch, const DeviceSpec& device,
+                        Matrix& out, SegmentTable& segs);
 
 /** Logical -> pack row map of a padding-elided dataflow pack: entry l
  *  names the pack row that holds logical row l. */

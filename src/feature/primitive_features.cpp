@@ -6,6 +6,11 @@
 
 namespace pruner {
 
+namespace {
+
+/** Write one candidate's kPrimitiveSteps rows into @p out at
+ *  [row0, row0 + kPrimitiveSteps) (must exist, zero-filled); @p scratch
+ *  holds the primitive sequence between candidates (capacity reused). */
 void
 writePrimitiveFeatureRows(const SubgraphTask& task, const Schedule& sch,
                           Matrix& out, size_t row0,
@@ -37,6 +42,8 @@ writePrimitiveFeatureRows(const SubgraphTask& task, const Schedule& sch,
     }
 }
 
+} // namespace
+
 Matrix
 extractPrimitiveFeatures(const SubgraphTask& task, const Schedule& sch)
 {
@@ -44,6 +51,17 @@ extractPrimitiveFeatures(const SubgraphTask& task, const Schedule& sch)
     std::vector<SchedulePrimitive> seq;
     writePrimitiveFeatureRows(task, sch, feat, 0, seq);
     return feat;
+}
+
+void
+appendPrimitiveRows(const SubgraphTask& task, const Schedule& sch,
+                    Matrix& out, SegmentTable& segs,
+                    std::vector<SchedulePrimitive>& scratch)
+{
+    const size_t row0 = out.rows();
+    out.resize(row0 + kPrimitiveSteps, kPrimitiveFeatureDim);
+    writePrimitiveFeatureRows(task, sch, out, row0, scratch);
+    segs.append(kPrimitiveSteps);
 }
 
 void
@@ -55,10 +73,7 @@ extractPrimitiveFeaturesBatch(const SubgraphTask& task,
     out.resize(0, kPrimitiveFeatureDim);
     segs.reset();
     for (const Schedule& sch : candidates) {
-        const size_t row0 = out.rows();
-        out.resize(row0 + kPrimitiveSteps, kPrimitiveFeatureDim);
-        writePrimitiveFeatureRows(task, sch, out, row0, scratch);
-        segs.append(kPrimitiveSteps);
+        appendPrimitiveRows(task, sch, out, segs, scratch);
     }
 }
 

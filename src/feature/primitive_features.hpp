@@ -31,12 +31,12 @@ constexpr size_t kPrimitiveSteps = 28;
 Matrix extractPrimitiveFeatures(const SubgraphTask& task,
                                 const Schedule& sch);
 
-/** Write one candidate's kPrimitiveSteps rows into @p out at
- *  [row0, row0 + kPrimitiveSteps) (must exist, zero-filled); @p scratch
- *  holds the primitive sequence between candidates (capacity reused). */
-void writePrimitiveFeatureRows(const SubgraphTask& task, const Schedule& sch,
-                               Matrix& out, size_t row0,
-                               std::vector<SchedulePrimitive>& scratch);
+/** Append one candidate's kPrimitiveSteps rows, padding included, to
+ *  @p out as the next segment of @p segs; @p scratch holds the primitive
+ *  sequence between candidates (capacity reused). */
+void appendPrimitiveRows(const SubgraphTask& task, const Schedule& sch,
+                         Matrix& out, SegmentTable& segs,
+                         std::vector<SchedulePrimitive>& scratch);
 
 /** Pack every candidate's primitive rows into @p out
  *  ([n * kPrimitiveSteps, 16], reshaped in place) with fixed-stride

@@ -15,8 +15,9 @@ log1pSafe(double v)
     return std::log1p(std::max(v, 0.0));
 }
 
-} // namespace
-
+/** Write one candidate's statement rows (from its already-extracted
+ *  symbols) into @p out at rows [row0, row0 + sym.statements.size()),
+ *  which must exist and be zero-filled. */
 void
 writeStatementFeatureRows(const SymbolSet& sym, const SubgraphTask& task,
                           const Schedule& sch, const DeviceSpec& device,
@@ -88,6 +89,8 @@ writeStatementFeatureRows(const SymbolSet& sym, const SubgraphTask& task,
     }
 }
 
+} // namespace
+
 Matrix
 extractStatementFeatures(const SubgraphTask& task, const Schedule& sch,
                          const DeviceSpec& device)
@@ -96,6 +99,19 @@ extractStatementFeatures(const SubgraphTask& task, const Schedule& sch,
     Matrix feat(sym.statements.size(), kStatementFeatureDim);
     writeStatementFeatureRows(sym, task, sch, device, feat, 0);
     return feat;
+}
+
+void
+appendStatementRows(const SymbolSet& sym, const SubgraphTask& task,
+                    const Schedule& sch, const DeviceSpec& device, Matrix& out,
+                    SegmentTable& segs)
+{
+    const size_t row0 = out.rows();
+    // Appended rows are value-initialized to zero (vector semantics),
+    // which the one-hot writers rely on.
+    out.resize(row0 + sym.statements.size(), kStatementFeatureDim);
+    writeStatementFeatureRows(sym, task, sch, device, out, row0);
+    segs.append(sym.statements.size());
 }
 
 void
@@ -109,12 +125,7 @@ extractStatementFeaturesBatch(const SubgraphTask& task,
     segs.reset();
     for (const Schedule& sch : candidates) {
         extractSymbolsInto(task, sch, sym);
-        const size_t row0 = out.rows();
-        // Appended rows are value-initialized to zero (vector semantics),
-        // which the one-hot writers rely on.
-        out.resize(row0 + sym.statements.size(), kStatementFeatureDim);
-        writeStatementFeatureRows(sym, task, sch, device, out, row0);
-        segs.append(sym.statements.size());
+        appendStatementRows(sym, task, sch, device, out, segs);
     }
 }
 

@@ -35,12 +35,11 @@ constexpr size_t kStatementFeatureDim = 40;
 Matrix extractStatementFeatures(const SubgraphTask& task, const Schedule& sch,
                                 const DeviceSpec& device);
 
-/** Write one candidate's statement rows (from its already-extracted
- *  symbols) into @p out at rows [row0, row0 + sym.statements.size()),
- *  which must exist and be zero-filled. */
-void writeStatementFeatureRows(const SymbolSet& sym, const SubgraphTask& task,
-                               const Schedule& sch, const DeviceSpec& device,
-                               Matrix& out, size_t row0);
+/** Append one candidate's statement rows (from its already-extracted
+ *  symbols) to @p out as the next segment of @p segs. */
+void appendStatementRows(const SymbolSet& sym, const SubgraphTask& task,
+                         const Schedule& sch, const DeviceSpec& device,
+                         Matrix& out, SegmentTable& segs);
 
 /** Pack every candidate's statement rows into @p out ([total_rows, 40],
  *  reshaped in place) and record per-candidate row ranges in @p segs. */

@@ -90,15 +90,6 @@ struct BranchSpec
 class CostModel
 {
   public:
-    /** @param name      report name ("TenSetMLP", "TLP", "PaCM")
-     *  @param device    platform whose features/labels this model sees
-     *  @param seed      weight-init / training-shuffle seed
-     *  @param branches  in head-column order; at least one enabled
-     *  @param eval_cost   simulated seconds per scored candidate
-     *  @param train_cost  simulated seconds of training per round */
-    CostModel(std::string name, const DeviceSpec& device, uint64_t seed,
-              const std::vector<BranchSpec>& branches, double eval_cost,
-              double train_cost);
     /** Virtual: a std::unique_ptr<CostModel> owns the named subclasses. */
     virtual ~CostModel() = default;
     CostModel(const CostModel&) = default;
@@ -199,6 +190,18 @@ class CostModel
      *  carrying the handles keeps the deterministic training counters
      *  identical between sync and async runs. */
     void bindMetrics(obs::MetricsRegistry* metrics);
+
+  protected:
+    /** Only the paper models' subclasses pick a branch list.
+     *  @param name      report name ("TenSetMLP", "TLP", "PaCM")
+     *  @param device    platform whose features/labels this model sees
+     *  @param seed      weight-init / training-shuffle seed
+     *  @param branches  in head-column order; at least one enabled
+     *  @param eval_cost   simulated seconds per scored candidate
+     *  @param train_cost  simulated seconds of training per round */
+    CostModel(std::string name, const DeviceSpec& device, uint64_t seed,
+              const std::vector<BranchSpec>& branches, double eval_cost,
+              double train_cost);
 
   private:
     /** One branch's weights. attn is set for the step-sequence kinds. */

@@ -148,12 +148,26 @@ struct CostModel::Batch
 
 struct CostModel::Memo
 {
-    /** Record i owns rows [segs.begin(i), +segs.rows(i)); empty for a
-     *  disabled branch. */
+    /** Record i owns rows [segs.begin(i), +segs.rows(i)), its last row
+     *  repeated segs.repeats(i) times (a dataflow segment's padding);
+     *  empty for a disabled branch. */
     struct Rows
     {
         Matrix rows;
         SegmentTable segs;
+
+        /** Record @p idx's logical rows, repeats expanded. */
+        Matrix expanded(size_t idx) const
+        {
+            const size_t b = segs.begin(idx);
+            const size_t n = segs.rows(idx);
+            Matrix out(segs.logicalRows(idx), rows.cols());
+            for (size_t r = 0; r < out.rows(); ++r) {
+                std::copy_n(rows.row(b + std::min(r, n - 1)), rows.cols(),
+                            out.row(r));
+            }
+            return out;
+        }
     };
     std::vector<Rows> branches;
 };
@@ -407,7 +421,7 @@ CostModel::scoreSubset(const Memo& memo, const std::vector<size_t>& subset,
             Batch::Pack& pack = batch.packs[b];
             pack.rows->appendRows(from.rows, from.segs.begin(idx),
                                   from.segs.rows(idx));
-            pack.segs->append(from.segs.rows(idx));
+            pack.segs->append(from.segs.rows(idx), from.segs.repeats(idx));
         }
     }
     scoreBatch(batch, subset.size(), ws, record, out);
@@ -422,9 +436,8 @@ CostModel::fitReference(const Memo& memo, size_t idx, double dscore)
         if (!branch.spec.enabled) {
             continue;
         }
-        const Memo::Rows& from = memo.branches[b];
-        Matrix h = branch.embed.forward(
-            from.rows.sliceRows(from.segs.begin(idx), from.segs.rows(idx)));
+        // The per-record oracle runs the expanded rows, padding included.
+        Matrix h = branch.embed.forward(memo.branches[b].expanded(idx));
         if (isSequence(branch.spec.kind)) {
             h = branch.attn.forward(h);
             placeBranch(h.colMean(), b * kHidden, fused);
@@ -445,7 +458,7 @@ CostModel::fitReference(const Memo& memo, size_t idx, double dscore)
         // Pooling backward: a sum broadcasts the pooled gradient to every
         // row, a mean distributes 1/T of it.
         const bool mean = isSequence(branch.spec.kind);
-        const size_t steps = memo.branches[b].segs.rows(idx);
+        const size_t steps = memo.branches[b].segs.logicalRows(idx);
         const double inv_t = 1.0 / static_cast<double>(steps);
         Matrix dh(steps, kHidden);
         for (size_t r = 0; r < steps; ++r) {

@@ -1,5 +1,6 @@
 #include "feature/dataflow_features.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -180,8 +181,13 @@ appendDataflowRows(const SymbolSet& sym, const SubgraphTask& task,
 {
     const size_t row0 = out.rows();
     out.resize(row0 + kDataflowSteps, kDataflowFeatureDim);
-    writeDataflowFeatureRows(sym, task, sch, device, out, row0);
-    segs.append(kDataflowSteps);
+    const size_t steps =
+        writeDataflowFeatureRows(sym, task, sch, device, out, row0);
+    // The padding is a zero suffix and no emitted row is all zero, so the
+    // first zero row stands for every padding row.
+    const size_t stored = std::min(steps + 1, kDataflowSteps);
+    out.resize(row0 + stored, kDataflowFeatureDim);
+    segs.append(stored, kDataflowSteps - stored);
 }
 
 void

@@ -37,10 +37,13 @@ constexpr size_t kDataflowSteps = 10;
 Matrix extractDataflowFeatures(const SubgraphTask& task, const Schedule& sch,
                                const DeviceSpec& device);
 
-/** Append one candidate's kDataflowSteps rows (from its already-extracted
- *  symbols), padding included, to @p out as the next segment of @p segs.
- *  Every segment owns its rows, the layout a training pack needs;
- *  inference packs go through appendDataflowBlock. */
+/** Append one candidate's kDataflowSteps logical rows (from its
+ *  already-extracted symbols) to @p out as the next segment of @p segs,
+ *  the training-pack layout: the emitted steps plus one zero row that
+ *  stands for all the padding (SegmentTable's tail repeats), or all
+ *  kDataflowSteps rows with no repeats when every step was emitted.
+ *  Every segment owns its rows; inference packs go through
+ *  appendDataflowBlock. */
 void appendDataflowRows(const SymbolSet& sym, const SubgraphTask& task,
                         const Schedule& sch, const DeviceSpec& device,
                         Matrix& out, SegmentTable& segs);

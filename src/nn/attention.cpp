@@ -7,6 +7,23 @@
 
 namespace pruner {
 
+namespace {
+
+/** Rows [b, b + t) of @p m with the last one repeated up to @p tl rows,
+ *  copied into @p out; returns out's first row. */
+const double*
+expandRows(const Matrix& m, size_t b, size_t t, size_t tl, Matrix& out)
+{
+    out.resize(tl, m.cols());
+    std::copy_n(m.row(b), t * m.cols(), out.row(0));
+    for (size_t i = t; i < tl; ++i) {
+        std::copy_n(m.row(b + t - 1), m.cols(), out.row(i));
+    }
+    return out.row(0);
+}
+
+} // namespace
+
 SelfAttention::SelfAttention(size_t dim, Rng& rng)
     : dim_(dim),
       wq_(dim, dim, rng),
@@ -61,6 +78,8 @@ SelfAttention::forwardBatch(const Matrix& x, const SegmentTable& segs,
     const bool mapped = !row_map.empty();
     PRUNER_CHECK_MSG(!mapped || cache == nullptr,
                      "a row-mapped attention pack is inference-only");
+    PRUNER_CHECK_MSG(!mapped || segs.repeatsData() == nullptr,
+                     "a row-mapped attention pack has no repeats");
     const size_t rows = mapped ? row_map.size() : x.rows();
     PRUNER_CHECK(segs.totalRows() == rows);
     Matrix& q = ws.alloc(x.rows(), dim_);
@@ -71,15 +90,17 @@ SelfAttention::forwardBatch(const Matrix& x, const SegmentTable& segs,
     wv_.inferInto(x, v);
 
     // Softmax blocks: back to back in one flat buffer when caching for the
-    // backward, else one [T, T] block reused segment after segment. The
-    // flat buffer is allocated at its final shape, so its stale contents
-    // are overwritten block by block rather than zeroed first.
+    // backward, else one block reused segment after segment. A segment of
+    // t stored rows and T logical rows has a [t, T] block: its repeated
+    // last query row would only recompute the last stored row. The flat
+    // buffer is allocated at its final shape, so its stale contents are
+    // overwritten block by block rather than zeroed first.
     size_t total = 0;
     if (cache != nullptr) {
         cache->attn_off.resize(segs.count());
         for (size_t s = 0; s < segs.count(); ++s) {
             cache->attn_off[s] = total;
-            total += segs.rows(s) * segs.rows(s);
+            total += segs.rows(s) * segs.logicalRows(s);
         }
     }
     Matrix& attn = ws.alloc(cache != nullptr ? 1 : 0, total);
@@ -89,11 +110,16 @@ SelfAttention::forwardBatch(const Matrix& x, const SegmentTable& segs,
     Matrix* qg = mapped ? &ws.alloc(0, dim_) : nullptr;
     Matrix* kg = mapped ? &ws.alloc(0, dim_) : nullptr;
     Matrix* vg = mapped ? &ws.alloc(0, dim_) : nullptr;
+    // A segment with repeats attends over its expanded keys and values.
+    const bool repeats = segs.repeatsData() != nullptr;
+    Matrix* kx = repeats ? &ws.alloc(0, dim_) : nullptr;
+    Matrix* vx = repeats ? &ws.alloc(0, dim_) : nullptr;
     const double inv_sqrt_d = 1.0 / std::sqrt(static_cast<double>(dim_));
     size_t done = 0; // logical rows already attended (aliased blocks skip)
     for (size_t s = 0; s < segs.count(); ++s) {
         const size_t b = segs.begin(s);
         const size_t t = segs.rows(s);
+        const size_t tl = segs.logicalRows(s);
         if (t == 0 || b + t <= done) {
             // Empty, or aliased: an aliased segment's rows are an earlier
             // segment's block, whose ctx rows this loop already wrote
@@ -101,7 +127,7 @@ SelfAttention::forwardBatch(const Matrix& x, const SegmentTable& segs,
             continue;
         }
         if (cache == nullptr) {
-            attn.resize(t, t);
+            attn.resize(t, tl);
         }
         double* ablock =
             attn.row(0) + (cache != nullptr ? cache->attn_off[s] : 0);
@@ -123,18 +149,19 @@ SelfAttention::forwardBatch(const Matrix& x, const SegmentTable& segs,
             vb = vg->row(0);
         } else {
             qb = q.row(b);
-            kb = k.row(b);
-            vb = v.row(b);
+            kb = tl > t ? expandRows(k, b, t, tl, *kx) : k.row(b);
+            vb = tl > t ? expandRows(v, b, t, tl, *vx) : v.row(b);
         }
         // Q K^T off the row-major K block (nnkernel::matmulNT): C[i][j]
         // accumulates Q[i][kk] * K[j][kk] over ascending kk, the
         // reference path's exact core.
-        nnkernel::matmulNT(qb, t, dim_, dim_, kb, t, dim_, ablock, t);
-        for (size_t e = 0; e < t * t; ++e) {
+        nnkernel::matmulNT(qb, t, dim_, dim_, kb, tl, dim_, ablock, tl);
+        for (size_t e = 0; e < t * tl; ++e) {
             ablock[e] *= inv_sqrt_d;
         }
-        nnkernel::softmaxRows(ablock, t, t);
-        nnkernel::matmul(ablock, t, t, t, vb, dim_, dim_, ctx.row(b), dim_);
+        nnkernel::softmaxRows(ablock, t, tl);
+        nnkernel::matmul(ablock, t, tl, tl, vb, dim_, dim_, ctx.row(b),
+                         dim_);
         done = b + t;
     }
     Matrix& out = ws.alloc(rows, dim_);
@@ -165,46 +192,60 @@ SelfAttention::backwardBatch(const Matrix& dy,
     Matrix& dk = ws.alloc(dy.rows(), dim_);
     Matrix& dv = ws.alloc(dy.rows(), dim_);
     Matrix& dattn = ws.alloc(0, 0);
+    const bool repeats = segs.repeatsData() != nullptr;
+    Matrix* kx = repeats ? &ws.alloc(0, dim_) : nullptr;
+    Matrix* vx = repeats ? &ws.alloc(0, dim_) : nullptr;
     const double inv_sqrt_d = 1.0 / std::sqrt(static_cast<double>(dim_));
     for (size_t s = 0; s < segs.count(); ++s) {
         const size_t b = segs.begin(s);
         const size_t t = segs.rows(s);
+        const size_t tl = segs.logicalRows(s);
+        const size_t reps = segs.repeats(s);
         if (t == 0) {
             continue;
         }
+        // With repeats, the per-row GEMMs read K and V expanded to tl
+        // rows, and the dV and dK folds walk the t stored query rows with
+        // the last one repeated. Only the t stored keys' dV and dK rows
+        // are computed: a repeated key's rows equal the last one's.
         const double* ablock = cache.attn->row(0) + cache.attn_off[s];
+        const double* kb =
+            tl > t ? expandRows(*cache.k, b, t, tl, *kx) : cache.k->row(b);
+        const double* vb =
+            tl > t ? expandRows(*cache.v, b, t, tl, *vx) : cache.v->row(b);
         // dA = dctx V^T (reference: Matrix::matmulNT).
-        dattn.resize(t, t);
-        nnkernel::matmulNT(dctx->row(b), t, dim_, dim_, cache.v->row(b), t,
-                           dim_, dattn.row(0), t);
-        // dV = A^T dctx (reference: Matrix::matmulTN): one segment of t
-        // rows folded into the zeroed block, which equals matmulTN.
+        dattn.resize(t, tl);
+        nnkernel::matmulNT(dctx->row(b), t, dim_, dim_, vb, tl, dim_,
+                           dattn.row(0), tl);
+        // dV = A^T dctx (reference: Matrix::matmulTN): one segment of tl
+        // logical rows folded into the zeroed block, which equals
+        // matmulTN.
         std::fill(dv.row(b), dv.row(b) + t * dim_, 0.0);
-        nnkernel::matmulTNSegBlocked(ablock, t, dctx->row(b), dim_, &t, 1,
-                                     t, dim_, dv.row(b), dim_);
+        nnkernel::matmulTNSegBlocked(ablock, tl, dctx->row(b), dim_, &t, 1,
+                                     t, dim_, dv.row(b), dim_, &reps);
         // Softmax backward per row: dS = A .* (dA - rowsum(dA .* A)).
         for (size_t i = 0; i < t; ++i) {
-            const double* arow = ablock + i * t;
+            const double* arow = ablock + i * tl;
             double* drow = dattn.row(i);
             double dot = 0.0;
-            for (size_t j = 0; j < t; ++j) {
+            for (size_t j = 0; j < tl; ++j) {
                 dot += drow[j] * arow[j];
             }
-            for (size_t j = 0; j < t; ++j) {
+            for (size_t j = 0; j < tl; ++j) {
                 drow[j] = arow[j] * (drow[j] - dot);
             }
         }
-        for (size_t e = 0; e < t * t; ++e) {
+        for (size_t e = 0; e < t * tl; ++e) {
             dattn.data()[e] *= inv_sqrt_d;
         }
         // dQ = dS K (reference: Matrix::matmul through the fast kernel).
-        nnkernel::matmul(dattn.row(0), t, t, t, cache.k->row(b), dim_, dim_,
-                         dq.row(b), dim_);
+        nnkernel::matmul(dattn.row(0), t, tl, tl, kb, dim_, dim_, dq.row(b),
+                         dim_);
         // dK = dS^T Q (reference: Matrix::matmulTN), the same one-segment
         // fold into a zeroed block.
         std::fill(dk.row(b), dk.row(b) + t * dim_, 0.0);
-        nnkernel::matmulTNSegBlocked(dattn.row(0), t, cache.q->row(b), dim_,
-                                     &t, 1, t, dim_, dk.row(b), dim_);
+        nnkernel::matmulTNSegBlocked(dattn.row(0), tl, cache.q->row(b), dim_,
+                                     &t, 1, t, dim_, dk.row(b), dim_, &reps);
     }
     // Projection backward in the per-record order (wq, wk, wv), with the
     // same elementwise dx add sequence.

@@ -20,9 +20,10 @@ namespace pruner {
  * Workspace-owned intermediates of one batched attention training forward
  * (see SelfAttention::forwardBatch). The matrix pointers are
  * pointer-stable workspace buffers valid until the next ws.reset(); attn
- * stores every segment's post-softmax [T, T] score block back to back in
- * one flat buffer at offsets attn_off[s]. Keep one instance alive across
- * batches — the offset vector's capacity is reused.
+ * stores every segment's post-softmax [t, T] score block (t stored rows,
+ * T logical rows) back to back in one flat buffer at offsets
+ * attn_off[s]. Keep one instance alive across batches — the offset
+ * vector's capacity is reused.
  */
 struct AttentionBatchCache
 {
@@ -31,7 +32,7 @@ struct AttentionBatchCache
     const Matrix* k = nullptr;   ///< K projection pack
     const Matrix* v = nullptr;   ///< V projection pack
     const Matrix* ctx = nullptr; ///< pre-output-projection context pack
-    const Matrix* attn = nullptr; ///< flat [1, sum T_s^2] softmax blocks
+    const Matrix* attn = nullptr; ///< flat [1, sum t_s T_s] softmax blocks
     std::vector<size_t> attn_off; ///< per-segment offset into attn
 };
 
@@ -79,6 +80,14 @@ class SelfAttention
      * rows do not depend on their position, so the result is
      * byte-identical to the forward over the expanded rows. Mapped packs
      * are inference-only: @p cache must be null.
+     *
+     * A segment with tail repeats (SegmentTable::append(rows, repeats))
+     * stands for T = logicalRows() rows of which t = rows() are stored:
+     * its K and V blocks are expanded to T rows in workspace scratch, the
+     * scores and softmax are [t, T] (a repeated query row would only
+     * recompute the last stored row), and the result has its t stored
+     * rows, each byte-identical to that row of the expanded segment's
+     * forward. A mapped pack takes no repeats.
      */
     const Matrix& forwardBatch(const Matrix& x, const SegmentTable& segs,
                                Workspace& ws,
@@ -89,12 +98,17 @@ class SelfAttention
      * Segment-aware batched backward: the four projections' dW/db
      * accumulate per-segment partials in segment order (see
      * Linear::backwardBatch) and their inter-layer gradients run as one
-     * GEMM over the pack; only the [T, T] attention-core backward runs
+     * GEMM over the pack; only the [t, T] attention-core backward runs
      * per segment, exactly like the forward. Byte-identical parameter
      * gradients to per-record forward()+backward() over the segments in
-     * pack order. @p segs must be the contiguous table @p cache was
-     * filled over; an aliased table throws InternalError. Returns
-     * ws-owned dL/dx, or nullptr when @p need_dx is false.
+     * pack order, a segment with repeats counting as its expanded rows
+     * (with one dy row per stored row, the value each of its logical
+     * rows gets): dA is [t, T], dQ = dS K_expanded, and dV and dK are
+     * folded over the logical query rows for the t stored keys only
+     * (nnkernel::matmulTNSegBlocked with seg_repeats). @p segs must be
+     * the contiguous table @p cache was filled over; an aliased table
+     * throws InternalError. Returns ws-owned dL/dx for the stored rows,
+     * or nullptr when @p need_dx is false.
      */
     Matrix* backwardBatch(const Matrix& dy, const AttentionBatchCache& cache,
                           const SegmentTable& segs, Workspace& ws,

@@ -82,7 +82,9 @@ Linear::backwardBatch(const Matrix& x, const Matrix& dy,
     // single add — each dW element is loaded and stored ONCE per pack
     // instead of once per segment. One-row segments are single-product
     // partials, so the per-record direct-accumulation rounding chain is
-    // preserved too (see matmulTNSegBlocked's contract).
+    // preserved too (see matmulTNSegBlocked's contract). A segment with
+    // repeats stands for its logical rows: both chains add the repeated
+    // last row's term once per logical row.
     size_t s = 0;
     size_t expect_begin = 0;
     while (s < segs.count()) {
@@ -97,9 +99,9 @@ Linear::backwardBatch(const Matrix& x, const Matrix& dy,
                                      << " — aliased tables are "
                                         "inference-only)");
         expect_begin = b0 + segs.rows(s);
-        if (segs.rows(s) == 1) {
+        if (segs.logicalRows(s) == 1) {
             size_t e = s + 1;
-            while (e < segs.count() && segs.rows(e) == 1 &&
+            while (e < segs.count() && segs.logicalRows(e) == 1 &&
                    segs.begin(e) == b0 + (e - s)) {
                 ++e;
             }
@@ -116,12 +118,16 @@ Linear::backwardBatch(const Matrix& x, const Matrix& dy,
             continue;
         }
         const size_t t = segs.rows(s);
+        const size_t reps = segs.repeats(s);
         // db partial: the colSum chain from zero, one add per element.
         double* g = db_.row(0);
         for (size_t j = 0; j < dy.cols(); ++j) {
             double acc = 0.0;
             for (size_t r = 0; r < t; ++r) {
                 acc += dy.at(b0 + r, j);
+            }
+            for (size_t k = 0; k < reps; ++k) {
+                acc += dy.at(b0 + t - 1, j);
             }
             g[j] += acc;
         }
@@ -131,7 +137,8 @@ Linear::backwardBatch(const Matrix& x, const Matrix& dy,
         nnkernel::matmulTNSegBlocked(x.row(0), x.cols(), dy.row(0),
                                      dy.cols(), segs.rowsData(),
                                      segs.count(), x.cols(), dy.cols(),
-                                     dw_.row(0), dw_.cols());
+                                     dw_.row(0), dw_.cols(),
+                                     segs.repeatsData());
     }
     if (!need_dx) {
         return nullptr;

@@ -68,9 +68,11 @@ class Linear
      * turn, because the partial reuses the exact accumulation order of
      * those ops (dW through nnkernel::matmulTNSegBlocked). dL/dX comes
      * back as a single nnkernel::matmulNT GEMM over the whole pack
-     * (row-independent, so also byte-identical per row). @p x must be the
-     * forward input pack; pass `need_dx = false` for the first layer to
-     * skip the dX GEMM (returns nullptr). Intermediates live in @p ws;
+     * (row-independent, so also byte-identical per row). A segment with
+     * tail repeats counts as its expanded rows: the db chain and the dW
+     * kernel add its last row's term once per logical row. @p x must be
+     * the forward input pack; pass `need_dx = false` for the first layer
+     * to skip the dX GEMM (returns nullptr). Intermediates live in @p ws;
      * zero heap allocations once the workspace is warm.
      */
     Matrix* backwardBatch(const Matrix& x, const Matrix& dy,

@@ -225,14 +225,16 @@ matmulAvx2(const double* a, size_t m, size_t k, size_t lda, const double* b,
  * The panel is loaded once, every segment folds in through a local
  * +0-seeded partial (terms in ascending r, separate roundings) with one
  * add, and the panel is stored once, replacing one C load/add/store pass
- * PER SEGMENT with one per pack. The per-element rounding chain is
+ * PER SEGMENT with one per pack. A segment with repeats adds its last
+ * row's product once more per repeat. The per-element rounding chain is
  * exactly the composed per-segment naive reference
  * (matmulTNSegBlockedNaive).
  */
 template <size_t R, class V>
 [[gnu::always_inline]] inline void
 segTile(const double* a, size_t lda, const double* b, size_t ldb,
-        const size_t* seg_rows, size_t nsegs, double* c, size_t ldc)
+        const size_t* seg_rows, const size_t* seg_repeats, size_t nsegs,
+        double* c, size_t ldc)
 {
     V acc[R] = {};
 #pragma GCC unroll 8
@@ -251,6 +253,25 @@ segTile(const double* a, size_t lda, const double* b, size_t ldb,
             a += lda;
             b += ldb;
         }
+        const size_t reps = seg_repeats != nullptr ? seg_repeats[s] : 0;
+        if (reps > 0) {
+            // The last row's products, each the value its pass above
+            // added, added again once per repeat.
+            const double* al = a - lda;
+            V bv = {};
+            std::memcpy(&bv, b - ldb, sizeof(V));
+            V prod[R];
+#pragma GCC unroll 8
+            for (size_t r = 0; r < R; ++r) {
+                prod[r] = al[r] * bv;
+            }
+            for (size_t k = 0; k < reps; ++k) {
+#pragma GCC unroll 8
+                for (size_t r = 0; r < R; ++r) {
+                    part[r] = part[r] + prod[r];
+                }
+            }
+        }
 #pragma GCC unroll 8
         for (size_t r = 0; r < R; ++r) {
             acc[r] = acc[r] + part[r];
@@ -268,15 +289,17 @@ segTile(const double* a, size_t lda, const double* b, size_t ldb,
 template <size_t R, class V, class... Narrower>
 [[gnu::always_inline]] inline size_t
 segRows(const double* a, size_t lda, const double* b, size_t ldb,
-        const size_t* seg_rows, size_t nsegs, size_t bcols, double* c,
-        size_t ldc, size_t j)
+        const size_t* seg_rows, const size_t* seg_repeats, size_t nsegs,
+        size_t bcols, double* c, size_t ldc, size_t j)
 {
     for (; j + kLanes<V> <= bcols; j += kLanes<V>) {
-        segTile<R, V>(a, lda, b + j, ldb, seg_rows, nsegs, c + j, ldc);
+        segTile<R, V>(a, lda, b + j, ldb, seg_rows, seg_repeats, nsegs,
+                      c + j, ldc);
     }
     if constexpr (sizeof...(Narrower) > 0) {
-        return segRows<R, Narrower...>(a, lda, b, ldb, seg_rows, nsegs,
-                                       bcols, c, ldc, j);
+        return segRows<R, Narrower...>(a, lda, b, ldb, seg_rows,
+                                       seg_repeats, nsegs, bcols, c, ldc,
+                                       j);
     } else {
         return j;
     }
@@ -287,8 +310,8 @@ segRows(const double* a, size_t lda, const double* b, size_t ldb,
 template <class Wide, class... Narrow>
 [[gnu::always_inline]] inline void
 segTiles(const double* a, size_t lda, const double* b, size_t ldb,
-         const size_t* seg_rows, size_t nsegs, size_t acols, size_t bcols,
-         double* c, size_t ldc)
+         const size_t* seg_rows, const size_t* seg_repeats, size_t nsegs,
+         size_t acols, size_t bcols, double* c, size_t ldc)
 {
     size_t i0 = 0;
     if constexpr (kLanes<Wide> == 8) {
@@ -300,11 +323,12 @@ segTiles(const double* a, size_t lda, const double* b, size_t ldb,
         // independent per (i, j), so splitting the block changes no byte.
         for (; i0 + 8 <= acols; i0 += 8) {
             const size_t j = segRows<8, Wide>(a + i0, lda, b, ldb, seg_rows,
-                                              nsegs, bcols, c + i0 * ldc,
-                                              ldc, 0);
+                                              seg_repeats, nsegs, bcols,
+                                              c + i0 * ldc, ldc, 0);
             for (size_t h = i0; h < i0 + 8; h += 4) {
-                segRows<4, Narrow...>(a + h, lda, b, ldb, seg_rows, nsegs,
-                                      bcols, c + h * ldc, ldc, j);
+                segRows<4, Narrow...>(a + h, lda, b, ldb, seg_rows,
+                                      seg_repeats, nsegs, bcols,
+                                      c + h * ldc, ldc, j);
             }
         }
     }
@@ -313,12 +337,14 @@ segTiles(const double* a, size_t lda, const double* b, size_t ldb,
     // live accumulator/partial registers push GCC into reordering that
     // loses the shared-broadcast win.
     for (; i0 + 4 <= acols; i0 += 4) {
-        segRows<4, Wide, Narrow...>(a + i0, lda, b, ldb, seg_rows, nsegs,
-                                    bcols, c + i0 * ldc, ldc, 0);
+        segRows<4, Wide, Narrow...>(a + i0, lda, b, ldb, seg_rows,
+                                    seg_repeats, nsegs, bcols, c + i0 * ldc,
+                                    ldc, 0);
     }
     for (; i0 < acols; ++i0) {
-        segRows<1, Wide, Narrow...>(a + i0, lda, b, ldb, seg_rows, nsegs,
-                                    bcols, c + i0 * ldc, ldc, 0);
+        segRows<1, Wide, Narrow...>(a + i0, lda, b, ldb, seg_rows,
+                                    seg_repeats, nsegs, bcols, c + i0 * ldc,
+                                    ldc, 0);
     }
 }
 
@@ -327,10 +353,11 @@ segTiles(const double* a, size_t lda, const double* b, size_t ldb,
 __attribute__((target("avx512f"))) void
 matmulTNSegBlockedAvx512(const double* a, size_t lda, const double* b,
                          size_t ldb, const size_t* seg_rows, size_t nsegs,
-                         size_t acols, size_t bcols, double* c, size_t ldc)
+                         size_t acols, size_t bcols, double* c, size_t ldc,
+                         const size_t* seg_repeats)
 {
-    segTiles<Lanes8, Lanes4, double>(a, lda, b, ldb, seg_rows, nsegs, acols,
-                                     bcols, c, ldc);
+    segTiles<Lanes8, Lanes4, double>(a, lda, b, ldb, seg_rows, seg_repeats,
+                                     nsegs, acols, bcols, c, ldc);
 }
 
 /** AVX2 segment-blocked tier: 4- and 1-row blocks over YMM and scalar
@@ -338,10 +365,11 @@ matmulTNSegBlockedAvx512(const double* a, size_t lda, const double* b,
 __attribute__((target("avx2"))) void
 matmulTNSegBlockedAvx2(const double* a, size_t lda, const double* b,
                        size_t ldb, const size_t* seg_rows, size_t nsegs,
-                       size_t acols, size_t bcols, double* c, size_t ldc)
+                       size_t acols, size_t bcols, double* c, size_t ldc,
+                       const size_t* seg_repeats)
 {
-    segTiles<Lanes4, double>(a, lda, b, ldb, seg_rows, nsegs, acols, bcols,
-                             c, ldc);
+    segTiles<Lanes4, double>(a, lda, b, ldb, seg_rows, seg_repeats, nsegs,
+                             acols, bcols, c, ldc);
 }
 
 #endif // PRUNER_NNKERNEL_X86
@@ -402,11 +430,13 @@ matchesNaiveKernel(MatmulFn fn)
 
 /** Frozen composed-ops per-segment partial, the multi-row step of
  *  matmulTNSegBlockedNaive: per element, the exact matmulTN chain
- *  (ascending r, zero-skip) then one add into C. */
+ *  (ascending r, zero-skip) then one add into C. The segment is walked
+ *  as its expanded logical rows: after the stored rows, the last one's
+ *  term again once per repeat. */
 void
-matmulTNAddPartialNaive(const double* a, size_t rows, size_t acols,
-                        size_t lda, const double* b, size_t bcols,
-                        size_t ldb, double* c, size_t ldc)
+matmulTNAddPartialNaive(const double* a, size_t rows, size_t repeats,
+                        size_t acols, size_t lda, const double* b,
+                        size_t bcols, size_t ldb, double* c, size_t ldc)
 {
     for (size_t i = 0; i < acols; ++i) {
         double* crow = c + i * ldc;
@@ -419,6 +449,13 @@ matmulTNAddPartialNaive(const double* a, size_t rows, size_t acols,
                 }
                 acc += ari * b[r * ldb + j];
             }
+            for (size_t k = 0; k < repeats; ++k) {
+                const double ari = a[(rows - 1) * lda + i];
+                if (ari == 0.0) {
+                    continue;
+                }
+                acc += ari * b[(rows - 1) * ldb + j];
+            }
             crow[j] += acc;
         }
     }
@@ -426,7 +463,7 @@ matmulTNAddPartialNaive(const double* a, size_t rows, size_t acols,
 
 using MatmulTNSegFn = void (*)(const double*, size_t, const double*,
                                size_t, const size_t*, size_t, size_t,
-                               size_t, double*, size_t);
+                               size_t, double*, size_t, const size_t*);
 
 /**
  * Self-check for the segment-blocked dW kernel: a segment mix of one-row
@@ -459,7 +496,8 @@ matchesSegBlockedReference(MatmulTNSegFn fn)
         v = next();
     }
     for (int pass = 0; pass < 2; ++pass) {
-        fn(a, acols, b, bcols, segs, nsegs, acols, bcols, fast, bcols);
+        fn(a, acols, b, bcols, segs, nsegs, acols, bcols, fast, bcols,
+           nullptr);
         matmulTNSegBlockedNaive(a, acols, b, bcols, segs, nsegs, acols,
                                 bcols, naive, bcols);
         if (std::memcmp(fast, naive, sizeof(fast)) != 0) {
@@ -477,13 +515,14 @@ matchesSegBlockedReference(MatmulTNSegFn fn)
         v = next();
     }
     for (int pass = 0; pass < 2; ++pass) {
-        fn(a, acols, bw, wide, segs, nsegs, acols, wide, fastw, wide);
+        fn(a, acols, bw, wide, segs, nsegs, acols, wide, fastw, wide,
+           nullptr);
         matmulTNSegBlockedNaive(a, acols, bw, wide, segs, nsegs, acols,
                                 wide, naivew, wide);
         if (std::memcmp(fastw, naivew, sizeof(fastw)) != 0) {
             return false;
         }
-        fn(a, acols, bw, wide, ones, 5, acols, wide, fastw, wide);
+        fn(a, acols, bw, wide, ones, 5, acols, wide, fastw, wide, nullptr);
         matmulTNSegBlockedNaive(a, acols, bw, wide, ones, 5, acols, wide,
                                 naivew, wide);
         if (std::memcmp(fastw, naivew, sizeof(fastw)) != 0) {
@@ -500,20 +539,42 @@ matchesSegBlockedReference(MatmulTNSegFn fn)
     double fast2[acols2 * bcols] = {}, naive2[acols2 * bcols] = {};
     double fast2w[acols2 * wide] = {}, naive2w[acols2 * wide] = {};
     for (int pass = 0; pass < 2; ++pass) {
-        fn(a2, acols2, b, bcols, segs, nsegs, acols2, bcols, fast2, bcols);
+        fn(a2, acols2, b, bcols, segs, nsegs, acols2, bcols, fast2, bcols,
+           nullptr);
         matmulTNSegBlockedNaive(a2, acols2, b, bcols, segs, nsegs, acols2,
                                 bcols, naive2, bcols);
         if (std::memcmp(fast2, naive2, sizeof(fast2)) != 0) {
             return false;
         }
-        fn(a2, acols2, bw, wide, segs, nsegs, acols2, wide, fast2w, wide);
+        fn(a2, acols2, bw, wide, segs, nsegs, acols2, wide, fast2w, wide,
+           nullptr);
         matmulTNSegBlockedNaive(a2, acols2, bw, wide, segs, nsegs, acols2,
                                 wide, naive2w, wide);
         if (std::memcmp(fast2w, naive2w, sizeof(fast2w)) != 0) {
             return false;
         }
     }
-    return true;
+    // Fourth round with tail repeats, the training packs' padding: the
+    // first four segments (six rows), three of them with their last row
+    // repeated, one-row segments with and without repeats among them,
+    // accumulated onto a non-zero C. Thirteen A columns reach the 8-, 4-
+    // and 1-row blocks of every tier in one call. Row 1, the second
+    // segment's one stored row, is all zero in A: the repeated zero terms
+    // take the reference's skip path.
+    constexpr size_t reps[] = {1, 3, 2, 0};
+    constexpr size_t acols3 = 13;
+    double a3[6 * acols3], fast3[acols3 * bcols], naive3[acols3 * bcols];
+    for (size_t e = 0; e < 6 * acols3; ++e) {
+        const bool zero = e % 5 == 0 || (e >= acols3 && e < 2 * acols3);
+        a3[e] = zero ? 0.0 : next();
+    }
+    for (size_t e = 0; e < acols3 * bcols; ++e) {
+        fast3[e] = naive3[e] = next();
+    }
+    fn(a3, acols3, b, bcols, segs, 4, acols3, bcols, fast3, bcols, reps);
+    matmulTNSegBlockedNaive(a3, acols3, b, bcols, segs, 4, acols3, bcols,
+                            naive3, bcols, reps);
+    return std::memcmp(fast3, naive3, sizeof(fast3)) == 0;
 }
 
 /** A dispatched kernel plus its tier name (see nnkernel::kernelTiers). */
@@ -679,7 +740,8 @@ matmulTNAccNaive(const double* a, size_t rows, size_t acols, size_t lda,
 void
 matmulTNSegBlocked(const double* a, size_t lda, const double* b, size_t ldb,
                    const size_t* seg_rows, size_t nsegs, size_t acols,
-                   size_t bcols, double* c, size_t ldc)
+                   size_t bcols, double* c, size_t ldc,
+                   const size_t* seg_repeats)
 {
     const MatmulTNSegFn fn = dispatch().seg.fn;
     // Cache-block the segment list: the tier kernels walk every segment
@@ -687,7 +749,8 @@ matmulTNSegBlocked(const double* a, size_t lda, const double* b, size_t ldb,
     // per tile. Splitting the run at whole-segment boundaries keeps each
     // chunk's A/B slices cache-resident; byte-identity is unaffected
     // because C passes through memory exactly (each chunk call resumes
-    // the same per-element add chain the unchunked walk performs).
+    // the same per-element add chain the unchunked walk performs). Chunks
+    // are sized and advanced by stored rows; repeats read no more memory.
     const size_t bytes_per_row = (lda + ldb) * sizeof(double);
     const size_t kChunkBudget = size_t{384} * 1024;
     const size_t target_rows =
@@ -701,7 +764,8 @@ matmulTNSegBlocked(const double* a, size_t lda, const double* b, size_t ldb,
             rows += seg_rows[s + count];
             ++count;
         }
-        fn(a, lda, b, ldb, seg_rows + s, count, acols, bcols, c, ldc);
+        fn(a, lda, b, ldb, seg_rows + s, count, acols, bcols, c, ldc,
+           seg_repeats != nullptr ? seg_repeats + s : nullptr);
         a += rows * lda;
         b += rows * ldb;
         s += count;
@@ -711,17 +775,19 @@ matmulTNSegBlocked(const double* a, size_t lda, const double* b, size_t ldb,
 void
 matmulTNSegBlockedNaive(const double* a, size_t lda, const double* b,
                         size_t ldb, const size_t* seg_rows, size_t nsegs,
-                        size_t acols, size_t bcols, double* c, size_t ldc)
+                        size_t acols, size_t bcols, double* c, size_t ldc,
+                        const size_t* seg_repeats)
 {
     for (size_t s = 0; s < nsegs; ++s) {
         const size_t rows = seg_rows[s];
-        if (rows == 1) {
+        const size_t repeats = seg_repeats != nullptr ? seg_repeats[s] : 0;
+        if (rows + repeats == 1) {
             // One-row segment: the batched backward's pre-seg-blocked
             // dispatch accumulated these straight into C.
             matmulTNAccNaive(a, 1, acols, lda, b, bcols, ldb, c, ldc);
         } else {
-            matmulTNAddPartialNaive(a, rows, acols, lda, b, bcols, ldb, c,
-                                    ldc);
+            matmulTNAddPartialNaive(a, rows, repeats, acols, lda, b, bcols,
+                                    ldb, c, ldc);
         }
         a += rows * lda;
         b += rows * ldb;

@@ -92,19 +92,29 @@ void matmulTNAccNaive(const double* a, size_t rows, size_t acols,
  * which cannot produce -0.0 under round-to-nearest). Dispatched with a
  * startup self-check against the composed per-segment naive kernels and
  * demoted on mismatch.
+ *
+ * With @p seg_repeats (one count per segment, or nullptr for none),
+ * segment s's last stored row stands for 1 + seg_repeats[s] logical rows
+ * (see SegmentTable): the kernel computes that row's product once and
+ * adds it to the partial once per logical row, separately rounded adds
+ * with no FMA, which is the chain of the expanded segment. seg_rows and
+ * the A/B operands count stored rows only.
  */
 void matmulTNSegBlocked(const double* a, size_t lda, const double* b,
                         size_t ldb, const size_t* seg_rows, size_t nsegs,
-                        size_t acols, size_t bcols, double* c, size_t ldc);
+                        size_t acols, size_t bcols, double* c, size_t ldc,
+                        const size_t* seg_repeats = nullptr);
 
 /** The frozen composed reference for matmulTNSegBlocked: per segment, the
  *  matmulTNAddPartialNaive chain (multi-row) or the matmulTNAccNaive
  *  direct accumulation (one-row) — mirroring the batched backward's
- *  pre-seg-blocked per-segment dispatch. */
+ *  pre-seg-blocked per-segment dispatch. A segment with repeats is
+ *  walked as its expanded logical rows. */
 void matmulTNSegBlockedNaive(const double* a, size_t lda, const double* b,
                              size_t ldb, const size_t* seg_rows,
                              size_t nsegs, size_t acols, size_t bcols,
-                             double* c, size_t ldc);
+                             double* c, size_t ldc,
+                             const size_t* seg_repeats = nullptr);
 
 /**
  * The pre-batching GEMM, preserved verbatim (ikj loop, zero-skip,

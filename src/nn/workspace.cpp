@@ -1,5 +1,7 @@
 #include "nn/workspace.hpp"
 
+#include <algorithm>
+
 #include "support/logging.hpp"
 
 namespace pruner {
@@ -71,13 +73,27 @@ segmentColSum(const Matrix& x, const SegmentTable& segs, Matrix& out)
         double* o = out.row(s);
         const size_t b = segs.begin(s);
         const size_t n = segs.rows(s);
-        for (size_t r = 0; r < n; ++r) {
-            const double* xr = x.row(b + r);
+        // Logical row r is stored row min(r, n - 1): a repeated last row
+        // adds its term once per logical row.
+        for (size_t r = 0; r < segs.logicalRows(s); ++r) {
+            const double* xr = x.row(b + std::min(r, n - 1));
             for (size_t c = 0; c < x.cols(); ++c) {
                 o[c] += xr[c];
             }
         }
     }
+}
+
+void
+SegmentTable::append(size_t rows, size_t repeats)
+{
+    PRUNER_CHECK_MSG(rows > 0 || repeats == 0,
+                     "a segment with repeats needs a stored row");
+    begins_.push_back(pack_rows_);
+    nrows_.push_back(rows);
+    repeats_.push_back(repeats);
+    pack_rows_ += rows;
+    any_repeats_ = any_repeats_ || repeats > 0;
 }
 
 void
@@ -102,6 +118,7 @@ SegmentTable::appendAlias(size_t begin, size_t rows)
                                      "segment exactly");
     begins_.push_back(begin);
     nrows_.push_back(rows);
+    repeats_.push_back(0);
     ++aliases_;
 }
 
@@ -133,7 +150,8 @@ segmentBroadcast(const Matrix& src, size_t src_col0, size_t ncols,
             continue;
         }
         const double* sr = src.row(s) + src_col0;
-        const double inv = mean ? 1.0 / static_cast<double>(n) : 1.0;
+        const double inv =
+            mean ? 1.0 / static_cast<double>(segs.logicalRows(s)) : 1.0;
         for (size_t r = 0; r < n; ++r) {
             double* o = out.row(b + r);
             if (mean) {
@@ -154,7 +172,7 @@ segmentColMean(const Matrix& x, const SegmentTable& segs, Matrix& out)
 {
     segmentColSum(x, segs, out);
     for (size_t s = 0; s < segs.count(); ++s) {
-        const size_t n = segs.rows(s);
+        const size_t n = segs.logicalRows(s);
         if (n == 0) {
             continue;
         }

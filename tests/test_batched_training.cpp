@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cmath>
@@ -34,6 +35,7 @@
 #include "cost/mlp_cost_model.hpp"
 #include "cost/pacm_model.hpp"
 #include "cost/tlp_cost_model.hpp"
+#include "feature/dataflow_features.hpp"
 #include "nn/attention.hpp"
 #include "nn/layers.hpp"
 #include "nn/loss.hpp"
@@ -431,6 +433,181 @@ TEST(BatchedBackward, AttentionMatchesPerRecordBitwise)
     }
 }
 
+/** A pack with tail repeats next to its expansion: the training memo's
+ *  dataflow layout against the full layout it stands for. The segments
+ *  mix a full 10-row block (no repeats) with padded ones, and one-row
+ *  segments with and without repeats, so Linear's one-row run shortcut
+ *  meets a repeated segment in the middle of a run. */
+struct RepeatPack
+{
+    std::vector<size_t> rows = {10, 1, 1, 4, 1, 1, 7, 2};
+    std::vector<size_t> reps = {0, 0, 9, 6, 0, 0, 3, 8};
+    SegmentTable compact, expanded;
+
+    RepeatPack()
+    {
+        for (size_t s = 0; s < rows.size(); ++s) {
+            compact.append(rows[s], reps[s]);
+            expanded.append(rows[s] + reps[s]);
+        }
+    }
+
+    /** @p m's rows (one per stored row) with every repeat expanded. */
+    Matrix expand(const Matrix& m) const
+    {
+        Matrix out(0, m.cols());
+        for (size_t s = 0; s < rows.size(); ++s) {
+            out.appendRows(m, compact.begin(s), rows[s]);
+            for (size_t k = 0; k < reps[s]; ++k) {
+                out.appendRows(m, compact.begin(s) + rows[s] - 1, 1);
+            }
+        }
+        return out;
+    }
+
+    /** Whether every stored row of @p c equals its expanded row in @p e. */
+    bool storedRowsMatch(const Matrix& c, const Matrix& e) const
+    {
+        if (c.rows() != compact.totalRows() ||
+            e.rows() != expanded.totalRows() || c.cols() != e.cols()) {
+            return false;
+        }
+        for (size_t s = 0; s < rows.size(); ++s) {
+            if (std::memcmp(c.row(compact.begin(s)),
+                            e.row(expanded.begin(s)),
+                            rows[s] * c.cols() * sizeof(double)) != 0) {
+                return false;
+            }
+        }
+        return true;
+    }
+};
+
+TEST(BatchedBackward, MlpRepeatsMatchExpandedPackBitwise)
+{
+    // Training on a pack with tail repeats is training on its expansion:
+    // the forward's stored rows, every dW/db byte of Linear::backwardBatch
+    // (through Mlp), and the dX of every stored row.
+    Rng rng(251);
+    Mlp mlp({6, 16, 16, 8}, rng);
+    std::vector<ParamRef> params;
+    mlp.collectParams(params);
+    const RepeatPack rp;
+    const Matrix pack = Matrix::randn(rp.compact.totalRows(), 6, rng, 0.9);
+    const Matrix dy = Matrix::randn(rp.compact.totalRows(), 8, rng, 1.0);
+
+    std::vector<std::vector<double>> grads;
+    std::vector<const Matrix*> outs, dxs;
+    Workspace ws_compact, ws_expanded;
+    BatchActs acts_compact, acts_expanded;
+    const Matrix pack_full = rp.expand(pack);
+    const Matrix dy_full = rp.expand(dy);
+    for (const bool compact : {true, false}) {
+        for (auto& p : params) {
+            p.grad->zero();
+        }
+        Workspace& ws = compact ? ws_compact : ws_expanded;
+        BatchActs& acts = compact ? acts_compact : acts_expanded;
+        outs.push_back(
+            &mlp.forwardBatch(compact ? pack : pack_full, ws, &acts));
+        dxs.push_back(mlp.backwardBatch(
+            compact ? dy : dy_full, acts,
+            compact ? rp.compact : rp.expanded, ws, /*need_dx=*/true));
+        grads.push_back(gradSnapshot(params));
+    }
+    EXPECT_TRUE(rp.storedRowsMatch(*outs[0], *outs[1]));
+    EXPECT_TRUE(bitwiseEqual(grads[0], grads[1]));
+    ASSERT_NE(dxs[0], nullptr);
+    ASSERT_NE(dxs[1], nullptr);
+    EXPECT_TRUE(rp.storedRowsMatch(*dxs[0], *dxs[1]));
+}
+
+TEST(BatchedBackward, AttentionRepeatsMatchExpandedPackBitwise)
+{
+    // SelfAttention over a pack with tail repeats: the cached forward's
+    // stored output rows (also against the uncached forward), every
+    // parameter gradient and the dX of every stored row equal those over
+    // the expanded pack.
+    Rng rng(257);
+    SelfAttention attn(6, rng);
+    std::vector<ParamRef> params;
+    attn.collectParams(params);
+    const RepeatPack rp;
+    const Matrix pack = Matrix::randn(rp.compact.totalRows(), 6, rng, 0.7);
+    const Matrix dy = Matrix::randn(rp.compact.totalRows(), 6, rng, 0.8);
+    const Matrix pack_full = rp.expand(pack);
+    const Matrix dy_full = rp.expand(dy);
+
+    std::vector<std::vector<double>> grads;
+    std::vector<const Matrix*> outs, dxs;
+    Workspace ws_compact, ws_expanded;
+    AttentionBatchCache cache_compact, cache_expanded;
+    for (const bool compact : {true, false}) {
+        for (auto& p : params) {
+            p.grad->zero();
+        }
+        Workspace& ws = compact ? ws_compact : ws_expanded;
+        AttentionBatchCache& cache = compact ? cache_compact : cache_expanded;
+        const SegmentTable& segs = compact ? rp.compact : rp.expanded;
+        outs.push_back(&attn.forwardBatch(compact ? pack : pack_full, segs,
+                                          ws, &cache));
+        dxs.push_back(attn.backwardBatch(compact ? dy : dy_full, cache, segs,
+                                         ws, /*need_dx=*/true));
+        grads.push_back(gradSnapshot(params));
+    }
+    EXPECT_TRUE(rp.storedRowsMatch(*outs[0], *outs[1]));
+    Workspace ws_infer;
+    const Matrix& infer_out = attn.forwardBatch(pack, rp.compact, ws_infer);
+    ASSERT_EQ(infer_out.rows(), outs[0]->rows());
+    EXPECT_EQ(std::memcmp(infer_out.data().data(), outs[0]->data().data(),
+                          infer_out.size() * sizeof(double)),
+              0);
+    EXPECT_TRUE(bitwiseEqual(grads[0], grads[1]));
+    ASSERT_NE(dxs[0], nullptr);
+    ASSERT_NE(dxs[1], nullptr);
+    EXPECT_TRUE(rp.storedRowsMatch(*dxs[0], *dxs[1]));
+}
+
+TEST(DataflowTrainingRows, StorePaddingOnceAndExpandToExtractor)
+{
+    // The training-pack recipe: each candidate's emitted steps plus one
+    // zero row repeated over the padding, which expands to exactly the
+    // single-candidate extractor's kDataflowSteps rows. Elementwise tasks
+    // emit few steps, so long repeats occur alongside GEMM blocks.
+    const DeviceSpec dev = DeviceSpec::a100();
+    auto records = makeRecords(24, /*n_tasks=*/3, /*seed=*/83);
+    const SubgraphTask elementwise = makeElementwise("dr", 1 << 16);
+    ScheduleSampler sampler(elementwise, dev);
+    Rng rng(89);
+    for (const Schedule& sch : sampler.sampleMany(rng, 4)) {
+        records.push_back({elementwise, sch, 1.0});
+    }
+    Matrix rows(0, kDataflowFeatureDim);
+    SegmentTable segs;
+    SymbolSet sym;
+    for (const auto& rec : records) {
+        extractSymbolsInto(rec.task, rec.sch, sym);
+        appendDataflowRows(sym, rec.task, rec.sch, dev, rows, segs);
+    }
+    ASSERT_EQ(segs.count(), records.size());
+    EXPECT_EQ(rows.rows(), segs.totalRows());
+    size_t stored = 0;
+    for (size_t i = 0; i < records.size(); ++i) {
+        ASSERT_EQ(segs.logicalRows(i), kDataflowSteps);
+        stored += segs.rows(i);
+        const Matrix full =
+            extractDataflowFeatures(records[i].task, records[i].sch, dev);
+        for (size_t r = 0; r < kDataflowSteps; ++r) {
+            const size_t at = segs.begin(i) + std::min(r, segs.rows(i) - 1);
+            EXPECT_EQ(std::memcmp(rows.row(at), full.row(r),
+                                  kDataflowFeatureDim * sizeof(double)),
+                      0)
+                << "record " << i << " logical row " << r;
+        }
+    }
+    EXPECT_LT(stored, records.size() * kDataflowSteps);
+}
+
 TEST(BatchedBackward, AliasedTablesAreInferenceOnly)
 {
     // The cached forward accepts an aliased table (it skips the aliased
@@ -546,6 +723,42 @@ TEST(ZeroAlloc, AttentionBackwardSteadyState)
     g_counting.store(false);
     EXPECT_EQ(g_alloc_events.load(), 0u)
         << "steady-state batched attention backward touched the heap";
+}
+
+TEST(ZeroAlloc, AttentionRepeatsBackwardSteadyState)
+{
+    // The expanded K and V blocks of segments with repeats are workspace
+    // scratch too.
+    Rng rng(263);
+    SelfAttention attn(16, rng);
+    std::vector<ParamRef> params;
+    attn.collectParams(params);
+    SegmentTable segs;
+    size_t rows = 0;
+    for (size_t i = 0; i < 6; ++i) {
+        segs.append(1 + i, 9 - i);
+        rows += 1 + i;
+    }
+    const Matrix pack = Matrix::randn(rows, 16, rng, 0.6);
+    const Matrix dy = Matrix::randn(rows, 16, rng, 0.5);
+    Workspace ws;
+    AttentionBatchCache cache;
+    auto pass = [&]() {
+        for (auto& p : params) {
+            p.grad->zero();
+        }
+        ws.reset();
+        attn.forwardBatch(pack, segs, ws, &cache);
+        attn.backwardBatch(dy, cache, segs, ws, /*need_dx=*/true);
+    };
+    pass();
+    pass();
+    g_alloc_events.store(0);
+    g_counting.store(true);
+    pass();
+    g_counting.store(false);
+    EXPECT_EQ(g_alloc_events.load(), 0u)
+        << "steady-state attention backward with repeats touched the heap";
 }
 
 TEST(ZeroAlloc, PooledLossSteadyState)

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "nn/attention.hpp"
 #include "nn/layers.hpp"
@@ -315,6 +316,104 @@ TEST(Matrix, MatmulTNSegBlockedChunksLargePacksBitwise)
     }
 }
 
+/** The logical rows of a pack with tail repeats: each segment's stored
+ *  rows, then its last row copied repeats[s] more times. */
+Matrix
+expandRepeats(const Matrix& pack, const std::vector<size_t>& rows,
+              const std::vector<size_t>& repeats)
+{
+    Matrix out(0, pack.cols());
+    size_t b = 0;
+    for (size_t s = 0; s < rows.size(); ++s) {
+        out.appendRows(pack, b, rows[s]);
+        for (size_t k = 0; k < repeats[s]; ++k) {
+            out.appendRows(pack, b + rows[s] - 1, 1);
+        }
+        b += rows[s];
+    }
+    return out;
+}
+
+TEST(Matrix, MatmulTNSegBlockedRepeatsMatchExpandedRowsBitwise)
+{
+    // A segment whose last row stands for 1 + r rows (the training packs'
+    // padding) must fold exactly like its expanded rows: the dispatched
+    // tiers and the naive reference, both given seg_repeats, against the
+    // naive reference over the expanded pack. The cases mix blocks with
+    // and without repeats, one-row segments with and without them, a
+    // repeated row with zeros in A, ragged and layer-width column counts,
+    // and a pack past the dispatch wrapper's chunk budget.
+    Rng rng(317);
+    struct Case
+    {
+        std::vector<size_t> segs, reps;
+        size_t acols, bcols;
+    };
+    std::vector<Case> cases = {
+        {{1}, {4}, 1, 1},
+        {{2, 1, 3}, {0, 5, 2}, 7, 15},
+        {{10, 4, 1, 7}, {0, 6, 9, 3}, 64, 64},
+        {{1, 1, 1, 1}, {0, 2, 0, 9}, 9, 12},
+        {{6, 2}, {4, 8}, 10, 33},
+        {{3, 5}, {7, 0}, 20, 64},
+    };
+    Case chunked{{}, {}, 64, 64}; // 500 rows x 1 KB/row > 384 KB
+    for (size_t s = 0; s < 100; ++s) {
+        chunked.segs.push_back(5);
+        chunked.reps.push_back(s % 3 == 0 ? 0 : 5);
+    }
+    cases.push_back(chunked);
+    for (const auto& cs : cases) {
+        size_t rows = 0;
+        std::vector<size_t> logical;
+        for (size_t s = 0; s < cs.segs.size(); ++s) {
+            rows += cs.segs[s];
+            logical.push_back(cs.segs[s] + cs.reps[s]);
+        }
+        Matrix a = Matrix::randn(rows, cs.acols, rng, 1.0);
+        const Matrix b = Matrix::randn(rows, cs.bcols, rng, 1.0);
+        // The last segment's repeated row is all zero in A, the first
+        // one's half zero: the reference's skip path, repeated.
+        for (size_t c = 0; c < cs.acols; ++c) {
+            a.at(rows - 1, c) = 0.0;
+            if (c % 2 == 0) {
+                a.at(cs.segs[0] - 1, c) = 0.0;
+            }
+        }
+        const Matrix ax = expandRepeats(a, cs.segs, cs.reps);
+        const Matrix bx = expandRepeats(b, cs.segs, cs.reps);
+        Matrix fast(cs.acols, cs.bcols);
+        Matrix naive(cs.acols, cs.bcols);
+        Matrix expanded(cs.acols, cs.bcols);
+        const size_t bytes = cs.acols * cs.bcols * sizeof(double);
+        for (int pass = 0; pass < 2; ++pass) {
+            nnkernel::matmulTNSegBlocked(
+                a.row(0), cs.acols, b.row(0), cs.bcols, cs.segs.data(),
+                cs.segs.size(), cs.acols, cs.bcols, fast.row(0), cs.bcols,
+                cs.reps.data());
+            nnkernel::matmulTNSegBlockedNaive(
+                a.row(0), cs.acols, b.row(0), cs.bcols, cs.segs.data(),
+                cs.segs.size(), cs.acols, cs.bcols, naive.row(0), cs.bcols,
+                cs.reps.data());
+            nnkernel::matmulTNSegBlockedNaive(
+                ax.row(0), cs.acols, bx.row(0), cs.bcols, logical.data(),
+                logical.size(), cs.acols, cs.bcols, expanded.row(0),
+                cs.bcols);
+            EXPECT_EQ(std::memcmp(fast.data().data(),
+                                  expanded.data().data(), bytes),
+                      0)
+                << "seg kernel with repeats diverged at acols=" << cs.acols
+                << " bcols=" << cs.bcols << " nsegs=" << cs.segs.size()
+                << " pass=" << pass;
+            EXPECT_EQ(std::memcmp(naive.data().data(),
+                                  expanded.data().data(), bytes),
+                      0)
+                << "naive reference with repeats diverged at acols="
+                << cs.acols << " bcols=" << cs.bcols << " pass=" << pass;
+        }
+    }
+}
+
 TEST(Matrix, SegBlockedAndTNAccNegativeZeroContract)
 {
     // The naive references skip A elements that compare equal to zero —
@@ -468,6 +567,74 @@ TEST(SegmentBroadcast, SumAndMeanMatchPerRecordBackward)
                           src.at(s, 2 + c));
                 EXPECT_EQ(mean_out.at(segs.begin(s) + r, c),
                           src.at(s, 2 + c) * inv);
+            }
+        }
+    }
+}
+
+TEST(SegmentRepeats, TableCountsStoredAndLogicalRows)
+{
+    SegmentTable segs;
+    segs.append(3);
+    EXPECT_EQ(segs.repeatsData(), nullptr); // no repeats: no operand
+    segs.append(2, 7);
+    segs.appendAlias(0, 3);
+    EXPECT_EQ(segs.totalRows(), 5u); // repeats add no pack rows
+    EXPECT_EQ(segs.rows(1), 2u);
+    EXPECT_EQ(segs.repeats(1), 7u);
+    EXPECT_EQ(segs.logicalRows(1), 9u);
+    EXPECT_EQ(segs.repeats(2), 0u); // an alias carries none
+    ASSERT_NE(segs.repeatsData(), nullptr);
+    EXPECT_EQ(segs.repeatsData()[1], 7u);
+    EXPECT_THROW(segs.append(0, 1), InternalError); // nothing to repeat
+    segs.reset();
+    EXPECT_EQ(segs.repeatsData(), nullptr);
+}
+
+TEST(SegmentRepeats, PoolingMatchesExpandedPack)
+{
+    // Column sums, means and the pooling backward over a pack with tail
+    // repeats equal those over the expanded pack: the pooled rows bitwise,
+    // and each stored row of the broadcast equals its expanded row. A full
+    // block (no repeats) rides among the padded ones.
+    Rng rng(331);
+    const std::vector<size_t> rows = {10, 4, 1, 3}, reps = {0, 6, 9, 2};
+    const Matrix pack = Matrix::randn(18, 5, rng, 1.0);
+    const Matrix full = expandRepeats(pack, rows, reps);
+    SegmentTable compact, expanded;
+    for (size_t s = 0; s < rows.size(); ++s) {
+        compact.append(rows[s], reps[s]);
+        expanded.append(rows[s] + reps[s]);
+    }
+    for (const bool mean : {false, true}) {
+        Matrix pc, pe;
+        if (mean) {
+            segmentColMean(pack, compact, pc);
+            segmentColMean(full, expanded, pe);
+        } else {
+            segmentColSum(pack, compact, pc);
+            segmentColSum(full, expanded, pe);
+        }
+        ASSERT_EQ(pc.rows(), rows.size());
+        EXPECT_EQ(std::memcmp(pc.data().data(), pe.data().data(),
+                              pc.size() * sizeof(double)),
+                  0)
+            << (mean ? "segmentColMean" : "segmentColSum");
+    }
+    const Matrix src = Matrix::randn(rows.size(), 7, rng, 1.0);
+    for (const bool mean : {false, true}) {
+        Matrix bc, be;
+        segmentBroadcast(src, 1, 5, compact, bc, mean);
+        segmentBroadcast(src, 1, 5, expanded, be, mean);
+        ASSERT_EQ(bc.rows(), 18u);
+        for (size_t s = 0; s < rows.size(); ++s) {
+            for (size_t r = 0; r < rows[s]; ++r) {
+                EXPECT_EQ(std::memcmp(bc.row(compact.begin(s) + r),
+                                      be.row(expanded.begin(s) + r),
+                                      5 * sizeof(double)),
+                          0)
+                    << "broadcast row " << r << " of segment " << s
+                    << (mean ? " (mean)" : " (sum)");
             }
         }
     }

@@ -160,7 +160,10 @@ Tracer::argDouble(SpanHandle handle, const char* key, double value)
 void
 Tracer::argStr(SpanHandle handle, const char* key, const std::string& value)
 {
-    pushArg(handle, key, "\"" + jsonEscape(value) + "\"");
+    std::string quoted(1, '"');
+    quoted += jsonEscape(value);
+    quoted += '"';
+    pushArg(handle, key, std::move(quoted));
 }
 
 size_t

@@ -41,9 +41,10 @@ manyTaskWorkload(size_t n)
     Workload w;
     w.name = "many";
     for (size_t i = 0; i < n; ++i) {
-        w.tasks.push_back(
-            {makeGemm("t" + std::to_string(i), 1, 64 << (i % 3), 64, 64),
-             1.0 + static_cast<double>(i)});
+        std::string name(1, 't');
+        name += std::to_string(i);
+        w.tasks.push_back({makeGemm(name, 1, 64 << (i % 3), 64, 64),
+                           1.0 + static_cast<double>(i)});
     }
     return w;
 }
